@@ -2,7 +2,7 @@
 
 Subcommands: verify, orbit, invariants, represent, fourier-check, lemma1.
 Exit codes: 0 success, 1 mathematical mismatch / failed identity,
-2 usage or parse error, 3 precision failures persisting after retry.
+2 usage or parse error, 3 precision failures.
 
 Reports are deterministic for a fixed configuration (timestamp and
 per-sample runtimes excluded); per-sample RNG streams are derived from
@@ -19,7 +19,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -116,15 +116,9 @@ def cmd_verify(args: RunConfig) -> int:
     explosion_skips = 0
     for index in range(args.samples):
         t0 = time.perf_counter()
-        retries = 0
         record = {"index": index}
         try:
-            try:
-                a, comp = _run_one_sample(index, cfg, args)
-            except PrecisionExhausted:
-                retries = 1
-                cfg2 = cfg.with_precision(2 * cfg.precision)
-                a, comp = _run_one_sample(index, cfg2, args)
+            a, comp = _run_one_sample(index, cfg, args)
             record.update(
                 invariants=a.to_json_dict(),
                 o_u=comp.o_u,
@@ -140,7 +134,6 @@ def cmd_verify(args: RunConfig) -> int:
         except ExplosionGuard as exc:
             explosion_skips += 1
             record.update(error="explosion", message=str(exc), equal=None)
-        record["retries"] = retries
         record["runtime_ms"] = round(1000 * (time.perf_counter() - t0), 3)
         samples.append(record)
     report = {
@@ -184,14 +177,13 @@ def _emit_report(report: dict, args: RunConfig):
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
-                ["index", "o_u", "o_gl", "hermitian_exists", "equal",
-                 "retries", "runtime_ms", "error"]
+                ["index", "o_u", "o_gl", "hermitian_exists", "equal", "runtime_ms", "error"]
             )
             for rec in report["samples"]:
                 writer.writerow([
                     rec.get("index"), rec.get("o_u"), rec.get("o_gl"),
                     rec.get("hermitian_exists"), rec.get("equal"),
-                    rec.get("retries"), rec.get("runtime_ms"), rec.get("error", ""),
+                    rec.get("runtime_ms"), rec.get("error", ""),
                 ])
 
 
@@ -399,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_precision(ns) -> int:
-    if getattr(ns, "precision", None):
+    if getattr(ns, "precision", None) is not None:
         return ns.precision
     env = os.environ.get("FLLAB_PRECISION")
     if env:

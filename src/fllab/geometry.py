@@ -22,7 +22,7 @@ from .errors import (
     SamplingExhausted,
     SideError,
 )
-from .linalg import Matrix, charpoly, hermitian_split, inverse, solve_linear, val_det
+from .linalg import Matrix, _dot, charpoly, hermitian_split, inverse, val_det
 from .padic import INF, FieldConfig, PAdicScalar, QuadScalar, parse_scalar, format_scalar
 
 
@@ -98,18 +98,8 @@ def _embed(g: Matrix, n: int) -> Matrix:
     quad = g.kind == "E"
     one = cfg.quad(1, 0) if quad else cfg.one()
     zero = cfg.quad(0, 0) if quad else cfg.zero()
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i < n - 1 and j < n - 1:
-                row.append(g[i, j])
-            elif i == n - 1 and j == n - 1:
-                row.append(one)
-            else:
-                row.append(zero)
-        rows.append(row)
-    return Matrix(cfg, rows)
+    return Matrix(cfg, [[g[i, j] if (i < n - 1 and j < n - 1) else (one if i == j else zero)
+                         for j in range(n)] for i in range(n)])
 
 
 @dataclass(frozen=True)
@@ -155,11 +145,7 @@ class InvariantPoint:
         r = [cfg.one()] + list(self.moments)
         need = 2 * m + 2
         while len(r) < need:
-            acc = None
-            for k in range(n):
-                term = self.charpoly[k] * r[len(r) - n + k]
-                acc = term if acc is None else acc + term
-            r.append(-acc)
+            r.append(-_dot(self.charpoly, r[len(r) - n:]))
         # recursion r_{i+1} = lam r_i + sum_k gamma_{i,k} d_k with gamma_{i,i-1} = 1
         d = []
         gamma = [cfg.one()]  # coefficients of c X'^k inside e* X^i restricted row
@@ -206,9 +192,7 @@ class InvariantPoint:
         return self.d_list()[0]
 
     def hankel(self) -> Matrix:
-        m = self.n - 1
-        d = self.d_list()
-        return Matrix(self.cfg, [[d[i + j] for j in range(m)] for i in range(m)])
+        return Matrix.hankel(self.cfg, self.d_list(), self.n - 1)
 
     def is_rss(self) -> bool:
         if self.n == 1:
@@ -260,11 +244,7 @@ def block_q(x):
     """q(X) = c*b; lands in F on the hermitian side."""
     if x.n < 2:
         raise ValueError("q needs n >= 2")
-    c, b = x.c_row(), x.b_col()
-    acc = None
-    for ci, bi in zip(c, b):
-        term = ci * bi
-        acc = term if acc is None else acc + term
+    acc = _dot(x.c_row(), x.b_col())
     if isinstance(x, HnElement):
         return acc.f_part()
     return acc
@@ -278,11 +258,7 @@ def moment_list(x, count: int):
     out = []
     w = list(b)
     for _ in range(count):
-        acc = None
-        for ci, wi in zip(c, w):
-            term = ci * wi
-            acc = term if acc is None else acc + term
-        out.append(acc)
+        out.append(_dot(c, w))
         w = Xp.apply(w)
     return out
 
@@ -292,10 +268,7 @@ def is_rss(x) -> bool:
     if x.n == 1:
         return True
     m = x.n - 1
-    d = moment_list(x, 2 * m - 1)
-    cfg = x.cfg
-    H = Matrix(cfg, [[d[i + j] for j in range(m)] for i in range(m)])
-    return val_det(H) is not INF
+    return val_det(Matrix.hankel(x.cfg, moment_list(x, 2 * m - 1), m)) is not INF
 
 
 def _exact_rank(rows, ncols: int) -> int:
@@ -466,20 +439,12 @@ def transfer_sign(y: GlnElement) -> TransferSign:
     row = [cfg.zero()] * (n - 1) + [cfg.one()]
     for _ in range(n):
         rows.append(row)
-        row = [_rowdot(row, y.mat, j) for j in range(n)]
+        row = [_dot(row, y.mat.col(j)) for j in range(n)]
     K = Matrix(cfg, rows)
     v = val_det(K)
     if v is INF:
         raise NotRss("Krylov determinant vanishes exactly")
     return TransferSign(int(v), -1 if int(v) % 2 else 1)
-
-
-def _rowdot(row, M: Matrix, j: int):
-    acc = None
-    for k in range(M.rows):
-        term = row[k] * M[k, j]
-        acc = term if acc is None else acc + term
-    return acc
 
 
 def gl_representative(a: InvariantPoint) -> GlnElement:

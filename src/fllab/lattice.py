@@ -15,8 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ExplosionGuard, ZeroModule
-from .linalg import Matrix, hnf_basis, inverse, solve_linear, val_det
-from .padic import INF, FieldConfig, PAdicScalar, QuadScalar
+from .linalg import Matrix, hnf_basis, inverse, val_det
+from .padic import INF, FieldConfig, QuadScalar
 
 
 class Lattice:
@@ -124,24 +124,25 @@ class Lattice:
 
     # -- duality ------------------------------------------------------------
 
-    def dual(self) -> "Lattice":
-        """Dual under the standard pairing: bilinear sum x_i y_i over F,
-        hermitian h(v, w) = sum sigma(v_i) w_i over E."""
-        Bt = self.basis.transpose()
-        Binv_t = inverse(Bt)
-        if self.kind == "E":
-            Binv_t = Binv_t.sigma()
-        return Lattice(Binv_t, self.kind)
-
-    def gram(self) -> Matrix:
-        """Gram matrix of the standard pairing on the basis."""
+    def _pairing_rows(self, form: Matrix | None) -> Matrix:
+        """sigma(B)^T H over E, B^T H over F, for the basis B (H = identity if None)."""
         B = self.basis
-        if self.kind == "E":
-            return B.sigma_transpose() * B
-        return B.transpose() * B
+        G = B.sigma_transpose() if self.kind == "E" else B.transpose()
+        return G if form is None else G * form
 
-    def is_selfdual(self) -> bool:
-        return self.key() == self.dual().key()
+    def dual(self, form: Matrix | None = None) -> "Lattice":
+        """Dual under the pairing v^T H w over F, hermitian sigma(v)^T H w over E;
+        H = form, or the identity when form is None."""
+        return Lattice(inverse(self._pairing_rows(form)), self.kind)
+
+    def gram(self, form: Matrix | None = None) -> Matrix:
+        """Gram matrix of the pairing of dual() on the basis."""
+        return self._pairing_rows(form) * self.basis
+
+    def is_selfdual(self, form: Matrix | None = None) -> bool:
+        """L = L^dual: the Gram matrix is integral (L <= L^dual) and unimodular."""
+        G = self.gram(form)
+        return G.is_integral() and val_det(G) == 0
 
     # -- lattice operations -----------------------------------------------
 
@@ -189,59 +190,6 @@ def module_closure(T: Matrix, v, kind: str = "F") -> ModuleBasis:
 def stabilizes(T: Matrix, L: Lattice) -> bool:
     """T L <= L."""
     return all(L.contains(T.apply(L.basis.col(j))) for j in range(L.rank))
-
-
-def largest_stable_sublattice(T: Matrix, K: Lattice, floor: Lattice | None = None):
-    """Largest T-stable sublattice of K; None if it drops below the floor.
-
-    Iterates S <- S /\\ T^{-1}(S) = {v in S : Tv in S}; the chain is strictly
-    decreasing until stable, and is abandoned once it no longer contains the
-    floor lattice (the caller's lower bound).
-    """
-    S = K
-    guard = 0
-    while True:
-        if floor is not None and not S.contains_lattice(floor):
-            return None
-        if stabilizes(T, S):
-            return S
-        S = S.intersect(_preimage_bounded(T, S))
-        guard += 1
-        if guard > 4 * (abs(K.val_det()) + T.rows * (K.cfg.D + 4)):
-            raise AssertionError("stable-core iteration failed to terminate")
-
-
-def _preimage_bounded(T: Matrix, S: Lattice) -> Lattice:
-    """A lattice containing {v : Tv in S}, exact on a box around S.
-
-    {v : Tv in S} = {v : M v integral} for M = B_S^-1 T, which may be
-    unbounded when T is singular; intersecting with p^-B O^m for large B
-    keeps it a lattice without affecting S /\\ (.)."""
-    cfg = T.cfg
-    m = T.rows
-    kind = S.kind
-    M = solve_linear(S.basis, T)
-    B = 0
-    for row in S.basis.entries:
-        for x in row:
-            lb = x.valuation_lower_bound()
-            if lb is not INF:
-                B = max(B, -int(lb))
-    B += 1
-    # dual description: rows of M and p^B-scaled unit vectors as constraints
-    cols = []
-    for i in range(m):
-        row = [M[i, j] for j in range(m)]
-        if kind == "E":
-            row = [x.sigma() for x in row]
-        cols.append(row)
-    pB = cfg.scalar(Fraction(cfg.p) ** B)
-    for i in range(m):
-        col = [cfg.quad(0, 0) if kind == "E" else cfg.zero() for _ in range(m)]
-        col[i] = (cfg.quad(1, 0) if kind == "E" else cfg.one()) * pB
-        cols.append(col)
-    constraint = Lattice.from_generators(cols, cfg, kind)
-    return constraint.dual()
 
 
 def quotient_reps(sub: Lattice, sup: Lattice):
@@ -328,20 +276,18 @@ def enumerate_stable_between(L0: Lattice, L1: Lattice, T: Matrix, bound_exp: int
     return sorted(found.values(), key=lambda L: L.key())
 
 
-def enumerate_selfdual_stable(Lmin: Lattice, T: Matrix, bound_exp: int = 12):
-    """All self-dual L with Lmin <= L <= Lmin^dual and T L <= L.
+def enumerate_selfdual_stable(T: Matrix, H: Matrix, bound_exp: int = 12):
+    """All L with O_E^m <= L <= H^-1 O_E^m and T L <= L that are self-dual for
+    h(v, w) = sigma(v)^T H w.
 
-    Empty when the Gram matrix of Lmin is not integral (no self-dual lattice
-    can contain Lmin).  T must be self-adjoint for the pairing (hermitian),
-    which makes the dual bound automatically stable.
+    Empty when H is not integral (no self-dual lattice can contain O_E^m).
+    T must be integral and self-adjoint for h, which makes H^-1 O_E^m T-stable.
     """
-    if not stabilizes(T, Lmin):
-        raise ValueError("Lmin must be T-stable")
-    if not Lmin.gram().is_integral():
+    if not H.is_integral():
         return []
-    Lmax = Lmin.dual()
-    cands = enumerate_stable_between(Lmin, Lmax, T, bound_exp)
-    return [L for L in cands if L.is_selfdual()]
+    std = Lattice.standard(H.cfg, H.rows, kind="E")
+    cands = enumerate_stable_between(std, std.dual(H), T, bound_exp)
+    return [L for L in cands if L.is_selfdual(H)]
 
 
 # ----------------------------------------------------------------------

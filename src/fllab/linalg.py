@@ -10,7 +10,6 @@ All functions are pure; matrices are immutable.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import NotSplit, PrecisionExhausted, SingularSystem
@@ -65,6 +64,11 @@ class Matrix:
         cols.append(last)
         mat = Matrix(cfg, [[cols[j][i] for j in range(m)] for i in range(m)])
         return mat.to_quad() if quad else mat
+
+    @staticmethod
+    def hankel(cfg: FieldConfig, d, m: int) -> "Matrix":
+        """The m x m Hankel matrix (d_{i+j}); needs d_0..d_{2m-2}."""
+        return Matrix(cfg, [[d[i + j] for j in range(m)] for i in range(m)])
 
     def to_quad(self) -> "Matrix":
         if self.kind == "E":

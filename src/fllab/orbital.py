@@ -1,49 +1,57 @@
 """Orbital integrals of unit characteristic functions as finite lattice counts.
 
+Both integrals are functions of the invariant point alone.  Write its corner
+data as (lambda, d, chi'), with d_k = c X'^k b and chi' the characteristic
+polynomial of the corner X', and let m = n - 1,
+C = companion(chi') and H = (d_{i+j})_{i,j<m}.  In the Krylov basis
+b, X'b, ..., X'^{m-1}b the corner acts by C and the pairing of the row c
+with the column Krylov space is H, which makes C self-adjoint for H.  An
+orbit meets the unit ball exactly at the C-stable lattices L with
+
+    O^m  <=  L  <=  H^-1 O^m,
+
+the lower bound from b in L, the upper one from c L in O; both are C-stable
+when C is integral, and there are none unless lambda, C and H are integral.
+
 Unitary side: cosets of U_{n-1}(F)/U_{n-1}(O_F) correspond to self-dual
-O_E-lattices L = g^-1 O_E^{n-1}; integrality of g X g^-1 becomes
-X' L <= L, b in L, lambda in O_F, so the integral is the number of self-dual
-stable lattices between the Krylov closure of b and its dual.
+O_E-lattices, so the integral counts the L over O_E that are self-dual for
+h(v, w) = sigma(v)^T H w (H is the Gram matrix of the Krylov basis).
 
-General-linear side: cosets correspond to arbitrary lattices, each weighted
-by (-1)^(val det g) = index sign, and the result carries the transfer sign
-omega(Y) in front.
+General-linear side: cosets correspond to arbitrary O_F-lattices, each
+weighted by its index sign, and the transfer sign omega(Y) in front combines
+with the index sign of the Krylov basis into (-1)^(val det H):
 
-A structurally independent oracle re-derives both counts by enumerating
-canonical coset representatives in a bounded box and testing g . Y . g^-1
-integrality entrywise.
+    O(Y, 1) = (-1)^(val det H) * sum over L of (-1)^[L : O^m].
+
+A structurally independent oracle re-derives both counts in the element's
+own coordinates by enumerating canonical coset representatives in a bounded
+box and testing g . Y . g^-1 integrality entrywise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import (
-    NoHermitianOrbit,
-    NormalFormFailure,
-    NotRss,
-    OracleTooLarge,
-)
+from .errors import NormalFormFailure, NotRss, OracleTooLarge
 from .geometry import (
     GlnElement,
     HnElement,
     InvariantPoint,
+    _embed,
     gl_representative,
     invariants_of,
     is_rss,
+    moment_list,
     transfer_sign,
-    u_representative,
 )
 from .lattice import (
     Lattice,
     enumerate_all_between,
     enumerate_selfdual_stable,
     enumerate_stable_between,
-    largest_stable_sublattice,
     module_closure,
-    stabilizes,
 )
-from .linalg import Matrix, hermitian_split, inverse, val_det
+from .linalg import Matrix, charpoly, hermitian_split, inverse, val_det
 from .padic import INF, solve_norm_equation
 
 
@@ -53,88 +61,73 @@ class OrbitalResult:
     side: str  # "u" or "gl"
     omega: int | None
     lattice_count: int
-    contributions: list = field(default_factory=list)  # [(Lattice, sign)]
 
     def __post_init__(self):
         if self.side == "gl":
             assert self.omega in (1, -1)
-            assert self.value == self.omega * sum(s for _, s in self.contributions)
         else:
             assert self.omega is None
             assert self.value == self.lattice_count >= 0
 
 
-def _zero_result(side, omega=None):
-    return OrbitalResult(0, side, omega, 0, [])
+def krylov_lattices(lam, d, chi_p, kind: str, bound_exp: int = 12) -> list:
+    """The C-stable lattices O^m <= L <= H^-1 O^m of the corner data (lam, d, chi'),
+    over O_F (kind "F") or, keeping the ones self-dual for H, over O_E ("E").
+
+    Empty unless lam, C = companion(chi') and H = (d_{i+j}) are integral.
+    """
+    cfg = lam.cfg
+    m = len(chi_p)
+    C = Matrix.companion(cfg, chi_p, quad=(kind == "E"))
+    H = Matrix.hankel(cfg, d, m)
+    if not (lam.is_integral() and C.is_integral() and H.is_integral()):
+        return []
+    if kind == "E":
+        return enumerate_selfdual_stable(C, H, bound_exp)
+    std = Lattice.standard(cfg, m)
+    return enumerate_stable_between(std, std.dual(H), C, bound_exp)
+
+
+def _krylov_value(side: str, lam, d, chi_p, bound_exp: int):
+    """(value, lattice count) of the unit orbital integral above (lam, d, chi')."""
+    if not chi_p:  # n = 1: the integral is 1_O(lam)
+        ok = int(lam.is_integral())
+        return ok, ok
+    found = krylov_lattices(lam, d, chi_p, "E" if side == "u" else "F", bound_exp)
+    if side == "u" or not found:
+        return len(found), len(found)
+    sign = -1 if val_det(Matrix.hankel(lam.cfg, d, len(chi_p))) % 2 else 1
+    return sign * sum(L.index_sign() for L in found), len(found)
+
+
+def _corner_data(x):
+    """(lam, d_0..d_{2m-2}, chi') read off the blocks of x, in F."""
+    m = x.n - 1
+    if m == 0:
+        return x.lam(), [], []
+    d = moment_list(x, 2 * m - 1)
+    chi_p = charpoly(x.corner())[:-1]
+    if isinstance(x, HnElement):
+        d = [t.f_part() for t in d]
+        chi_p = [c.f_part() for c in chi_p]
+    return x.lam(), d, chi_p
 
 
 def orbital_u_unit(X: HnElement, bound_exp: int = 12) -> OrbitalResult:
     """O(X, 1_{h_n(O)}): count of self-dual stable lattices, or 0 off support."""
     if not is_rss(X):
         raise NotRss("unitary orbital integral needs an rss element")
-    cfg = X.cfg
-    n = X.n
-    if n == 1:
-        ok = X.mat[0, 0].f_part().is_integral()
-        return OrbitalResult(1 if ok else 0, "u", None, 1 if ok else 0, [])
-    lam = X.lam()
-    if not lam.is_integral():
-        return _zero_result("u")
-    Xp = X.corner()
-    b = X.b_col()
-    closure = module_closure(Xp, b, kind="E")
-    if not closure.full_rank:
-        raise NotRss("cyclic closure degenerate despite rss test")
-    Lmin = closure.to_lattice()
-    if not stabilizes(Xp, Lmin):
-        return _zero_result("u")
-    if not Lmin.gram().is_integral():
-        return _zero_result("u")
-    found = enumerate_selfdual_stable(Lmin, Xp, bound_exp)
-    contributions = [(L, 1) for L in found]
-    return OrbitalResult(len(found), "u", None, len(found), contributions)
+    value, count = _krylov_value("u", *_corner_data(X), bound_exp)
+    return OrbitalResult(value, "u", None, count)
 
 
 def orbital_gl_unit(Y: GlnElement, bound_exp: int = 12) -> OrbitalResult:
-    """O(Y, 1_{gl_n(O)}) = omega(Y) * sum of index signs over admissible lattices."""
+    """O(Y, 1_{gl_n(O)}) = omega(Y) * sum of index signs over admissible lattices,
+    counted in the Krylov basis; omega(Y) is reported with it."""
     if not is_rss(Y):
         raise NotRss("general-linear orbital integral needs an rss element")
-    cfg = Y.cfg
-    n = Y.n
-    omega = transfer_sign(Y).omega
-    if n == 1:
-        ok = Y.mat[0, 0].is_integral()
-        val = 1 if ok else 0
-        return OrbitalResult(val, "gl", omega, val, [(None, 1)] if ok else [])
-    lam = Y.lam()
-    if not lam.is_integral():
-        return _zero_result("gl", omega)
-    Yp = Y.corner()
-    b = Y.b_col()
-    c = Y.c_row()
-    closure = module_closure(Yp, b, kind="F")
-    if not closure.full_rank:
-        raise NotRss("cyclic closure degenerate despite rss test")
-    Lmin = closure.to_lattice()
-    if not stabilizes(Yp, Lmin):
-        return _zero_result("gl", omega)
-    K0 = _row_constraint_lattice(Yp, c)
-    Lmax = largest_stable_sublattice(Yp, K0, floor=Lmin)
-    if Lmax is None or not Lmax.contains_lattice(Lmin):
-        return _zero_result("gl", omega)
-    found = enumerate_stable_between(Lmin, Lmax, Yp, bound_exp)
-    contributions = [(L, L.index_sign()) for L in found]
-    total = sum(s for _, s in contributions)
-    return OrbitalResult(omega * total, "gl", omega, len(found), contributions)
-
-
-def _row_constraint_lattice(Yp: Matrix, c) -> Lattice:
-    """K0 = {v : c Y'^k v in O, k = 0..m-1} = dual of the Krylov span of c."""
-    m = Yp.rows
-    rows = module_closure(Yp.transpose(), list(c), kind="F")
-    if not rows.full_rank:
-        raise NotRss("row Krylov space degenerate despite rss test")
-    return rows.to_lattice().dual()
+    value, count = _krylov_value("gl", *_corner_data(Y), bound_exp)
+    return OrbitalResult(value, "gl", transfer_sign(Y).omega, count)
 
 
 # ----------------------------------------------------------------------
@@ -161,17 +154,12 @@ def orbital_oracle(side: str, elt, max_exp: int = 4) -> int:
     return _oracle_gl(elt, max_exp)
 
 
-def _embed_full(g: Matrix, n: int) -> Matrix:
-    cfg = g.cfg
-    quad = g.kind == "E"
-    one = cfg.quad(1, 0) if quad else cfg.one()
-    zero = cfg.quad(0, 0) if quad else cfg.zero()
-    rows = []
-    for i in range(n):
-        row = [g[i, j] if (i < n - 1 and j < n - 1) else (one if i == j else zero)
-               for j in range(n)]
-        rows.append(row)
-    return Matrix(cfg, rows)
+def _row_constraint_lattice(Yp: Matrix, c) -> Lattice:
+    """K0 = {v : c Y'^k v in O, k = 0..m-1} = dual of the Krylov span of c."""
+    rows = module_closure(Yp.transpose(), list(c), kind="F")
+    if not rows.full_rank:
+        raise NotRss("row Krylov space degenerate despite rss test")
+    return rows.to_lattice().dual()
 
 
 def _oracle_gl(Y: GlnElement, max_exp: int) -> int:
@@ -186,7 +174,7 @@ def _oracle_gl(Y: GlnElement, max_exp: int) -> int:
     total = 0
     for L in box:
         g = inverse(L.basis)
-        conj = _embed_full(g, n) * Y.mat * _embed_full(inverse(g), n)
+        conj = _embed(g, n) * Y.mat * _embed(inverse(g), n)
         if conj.is_integral():
             vg = int(val_det(g))
             total += -1 if vg % 2 else 1
@@ -217,7 +205,7 @@ def _oracle_u(X: HnElement, max_exp: int) -> int:
         for row in resid.entries:
             for x in row:
                 assert x.is_zero_at_precision() or x.valuation_lower_bound() >= cfg.D - 6
-        conj = _embed_full(g, n) * X.mat * _embed_full(inverse(g), n)
+        conj = _embed(g, n) * X.mat * _embed(inverse(g), n)
         if conj.is_integral():
             count += 1
     return count
@@ -243,13 +231,9 @@ def fl_compare(a: InvariantPoint, bound_exp: int = 12) -> FlComparison:
     if not a.is_rss():
         raise NotRss("comparison needs an rss invariant point")
     exists = a.hermitian_exists()
-    if exists:
-        X = u_representative(a)
-        o_u = orbital_u_unit(X, bound_exp).value
-    else:
-        o_u = 0
-    Y = gl_representative(a)
-    o_gl = orbital_gl_unit(Y, bound_exp).value
+    lam, d, chi_p = a._derive()
+    o_u = _krylov_value("u", lam, d, chi_p, bound_exp)[0] if exists else 0
+    o_gl = _krylov_value("gl", lam, d, chi_p, bound_exp)[0]
     return FlComparison(o_u, o_gl, exists, o_u == o_gl)
 
 

@@ -93,9 +93,6 @@ class FieldConfig:
     def one(self) -> "PAdicScalar":
         return self.scalar(1)
 
-    def with_precision(self, digits: int) -> "FieldConfig":
-        return FieldConfig(self.p, self.u, digits)
-
 
 def _val_int(n: int, p: int) -> int:
     v = 0

@@ -25,15 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConductorExceeded
-from .padic import FieldConfig, PAdicScalar, QuadScalar
-
-
-def _val_int(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+from .padic import FieldConfig, PAdicScalar, QuadScalar, _frac_val, _val_int
 
 
 def psi_exponent_fraction(x: Fraction, p: int, m: int) -> int:
@@ -406,19 +398,12 @@ def weil_apply(word, f: FiniteLevelFunction, fourier_scale: int = 0) -> FiniteLe
             tag, t = gen
             assert tag == "n"
             t = Fraction(t)
-            tval = _frac_val(t, cur.p)
-            if t != 0 and tval < cur.a - cur.b:
+            if t != 0 and (tval := _frac_val(t, cur.p)) < cur.a - cur.b:
                 raise ConductorExceeded(
                     f"n(t) with val(t) = {tval} is not defined on grid ({cur.a},{cur.b})"
                 )
             cur = cur.pointwise_psi(lambda coords, tt=t: tt * cur.q_of(coords))
     return cur
-
-
-def _frac_val(x: Fraction, p: int) -> int:
-    if x == 0:
-        return 10**9
-    return _val_int(x.numerator, p) - _val_int(x.denominator, p)
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import fllab
 from fllab.cli import main
 
 
@@ -57,6 +58,12 @@ def test_verify_bad_prime(capsys):
     code, _, err = run_cli(capsys, "verify", "--p", "4", "--samples", "1")
     assert code == 2
     assert "p must be an odd prime" in err
+
+
+def test_verify_precision_zero(capsys):
+    code, _, err = run_cli(capsys, "verify", "--precision", "0", "--samples", "1")
+    assert code == 2
+    assert "precision must be at least 8 digits" in err
 
 
 def test_orbit_examples(tmp_path, capsys):
@@ -214,10 +221,14 @@ def test_sample_records_are_self_contained(tmp_path, capsys):
 
 
 def test_console_script_entrypoint():
+    # the child imports the same fllab as this process, installed or not
+    src = os.path.dirname(os.path.dirname(fllab.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "fllab.cli", "verify", "--n", "2", "--samples", "2",
          "--seed", "0"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     report = json.loads(proc.stdout)

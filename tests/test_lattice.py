@@ -10,7 +10,6 @@ from fllab.lattice import (
     enumerate_all_between,
     enumerate_selfdual_stable,
     enumerate_stable_between,
-    largest_stable_sublattice,
     module_closure,
     stabilizes,
 )
@@ -116,29 +115,29 @@ def test_enumeration_matches_naive_filter():
 
 
 def test_enumerate_selfdual_examples():
-    # rank 1: only O_E is self-dual
-    Lmin = Lattice.standard(CFG3, 1, kind="E").scaled(1)
+    # rank 1, H = p^2 (the Gram matrix of p O_E): only p^-1 O_E is self-dual
     T = Matrix.identity(CFG3, 1, quad=True)
-    got = enumerate_selfdual_stable(Lmin, T)
+    got = enumerate_selfdual_stable(T, Matrix.from_rows(CFG3, [[9]]))
     assert len(got) == 1
-    assert got[0] == Lattice.standard(CFG3, 1, kind="E")
+    assert got[0] == Lattice.standard(CFG3, 1, kind="E").scaled(-1)
 
-    # non-integral Gram: empty
-    Lbad = Lattice.standard(CFG3, 1, kind="E").scaled(-1)
-    assert enumerate_selfdual_stable(Lbad, T) == []
+    # non-integral form (the Gram matrix of p^-1 O_E): empty
+    assert enumerate_selfdual_stable(T, Matrix.from_rows(CFG3, [[Fraction(1, 9)]])) == []
 
 
 def test_enumerate_selfdual_rank2_matches_filter():
-    Lmin = Lattice.standard(CFG3, 2, kind="E").scaled(1)
+    # H = p^2 I, the Gram matrix of p O_E^2: filter the box by the definition L = L^dual
+    H = Matrix.from_rows(CFG3, [[9, 0], [0, 9]])
     T = Matrix.identity(CFG3, 2, quad=True)
-    got = enumerate_selfdual_stable(Lmin, T)
+    got = enumerate_selfdual_stable(T, H)
+    std = Lattice.standard(CFG3, 2, kind="E")
     naive = [
-        L for L in enumerate_all_between(Lmin, Lmin.dual())
-        if L.is_selfdual() and stabilizes(T, L)
+        L for L in enumerate_all_between(std, std.dual(H))
+        if L.dual(H) == L and stabilizes(T, L)
     ]
     assert [L.key() for L in got] == [L.key() for L in naive]
     for L in got:
-        assert L.val_det() == 0  # unramified: self-dual lattices are unimodular
+        assert L.val_det() == -2  # unramified: [L : O_E^2] is half of [H^-1 O_E^2 : O_E^2]
 
 
 def test_index_sign():
@@ -161,22 +160,6 @@ def test_index_sign_scaling_hom():
         except ValueError:
             continue
         assert L.scaled(1).index_sign() == L.index_sign() * (-1) ** m
-
-
-def test_largest_stable_sublattice():
-    # T = [[0, 1/3], [0, 0]]: K = O^2 is not stable; core is O + 3O ... compute
-    T = Matrix.from_rows(CFG3, [[0, Fraction(1, 3)], [0, 0]])
-    K = Lattice.standard(CFG3, 2)
-    floor = K.scaled(3)
-    S = largest_stable_sublattice(T, K, floor)
-    assert S is not None
-    assert stabilizes(T, S)
-    assert K.contains_lattice(S)
-    # any stable lattice inside K is inside S: spot-check with p-scaled ones
-    for k in (1, 2):
-        cand = K.scaled(k)
-        if stabilizes(T, cand):
-            assert S.contains_lattice(cand)
 
 
 def test_explosion_guard():

@@ -9,13 +9,14 @@ from fllab.geometry import (
     HnElement,
     InvariantPoint,
     block_q,
+    gl_representative,
     invariants_of,
     random_gl,
     random_unitary,
     sample_hermitian,
     sample_matched_pair,
 )
-from fllab.linalg import Matrix
+from fllab.linalg import Matrix, val_det
 from fllab.orbital import (
     fl_compare,
     lemma1_check,
@@ -41,7 +42,6 @@ def test_orbital_gl_examples():
     for rows, value, omega in cases:
         r = orbital_gl_unit(GlnElement(Matrix.from_rows(CFG3, rows)))
         assert (r.value, r.omega) == (value, omega)
-        assert r.value == r.omega * sum(s for _, s in r.contributions)
 
 
 def test_orbital_u_examples():
@@ -161,6 +161,32 @@ def test_fl_compare_examples():
     Y = GlnElement(Matrix.from_rows(CFG3, [[1, 1], [3, 0]]))
     r = fl_compare(invariants_of(Y))
     assert not r.hermitian_exists and r.o_gl == 0 and r.equal
+
+
+def test_fl_compare_count_three():
+    # integral n=3 point of Hankel val det 4 with three self-dual stable lattices
+    q = CFG3.quad
+    X = HnElement(Matrix(CFG3, [[q(0, 0), q(-2, 3), q(-3, -6)],
+                                [q(-2, -3), q(-2, 0), q(9, -3)],
+                                [q(-3, 6), q(9, 3), q(3, 0)]]))
+    a = invariants_of(X)
+    r = fl_compare(a, 10)
+    assert (r.o_u, r.o_gl) == (3, 3)
+    assert orbital_oracle("gl", gl_representative(a)) == 3
+
+
+def test_transfer_sign_is_hankel_parity():
+    # omega(Y_a) = (-1)^(val det H): the sign fl_compare puts on the gl count
+    from fllab.geometry import transfer_sign
+
+    parities = set()
+    for n in (2, 3, 4):
+        for elt in _oracle_instances("gl", n, 20, seed=60 + n, height=12):
+            a = invariants_of(elt)
+            vd = int(val_det(a.hankel()))
+            assert (transfer_sign(gl_representative(a)).v - vd) % 2 == 0
+            parities.add(vd % 2)
+    assert parities == {0, 1}
 
 
 def test_support_bound_property():
