@@ -19,7 +19,6 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -50,28 +49,9 @@ from .weil import fourier_order_four_check, sl2_relation_check, unit_selfdual_ch
 DEFAULT_PRECISION = 48
 
 
-@dataclass
-class RunConfig:
-    n: int = 2
-    p: int = 3
-    u: int | None = None
-    samples: int = 100
-    seed: int = 0
-    height: int = 50
-    precision: int = DEFAULT_PRECISION
-    explosion_bound: int = 12
-    vanishing_fraction: float = 0.2
-    out: str | None = None
-    csv: str | None = None
-    level: int = 1
-    trials: int = 10
-    oracle: bool = False
-    side: str = "u"
-    input: str | None = None
-
-    def field_config(self) -> FieldConfig:
-        u = self.u if self.u is not None else smallest_nonresidue(self.p)
-        return FieldConfig(self.p, u, self.precision)
+def field_config(args: argparse.Namespace) -> FieldConfig:
+    u = args.u if args.u is not None else smallest_nonresidue(args.p)
+    return FieldConfig(args.p, u, args.precision)
 
 
 def _child_rng(seed: int, index: int) -> random.Random:
@@ -96,7 +76,7 @@ def _sample_vanishing_point(n, cfg, height, rng) -> InvariantPoint:
     raise FLLabError("could not sample a vanishing point")
 
 
-def _run_one_sample(index: int, cfg, args: RunConfig):
+def _run_one_sample(index: int, cfg, args: argparse.Namespace):
     rng = _child_rng(args.seed, index)
     period = round(1 / args.vanishing_fraction) if args.vanishing_fraction > 0 else 0
     inject = period > 0 and index % period == 0
@@ -108,8 +88,8 @@ def _run_one_sample(index: int, cfg, args: RunConfig):
     return a, comp
 
 
-def cmd_verify(args: RunConfig) -> int:
-    cfg = args.field_config()
+def cmd_verify(args: argparse.Namespace) -> int:
+    cfg = field_config(args)
     samples = []
     mismatches = 0
     precision_failures = 0
@@ -154,7 +134,7 @@ def cmd_verify(args: RunConfig) -> int:
     return 0
 
 
-def _meta(cfg: FieldConfig, args: RunConfig) -> dict:
+def _meta(cfg: FieldConfig, args: argparse.Namespace) -> dict:
     return {
         "p": cfg.p,
         "u": cfg.u,
@@ -166,7 +146,7 @@ def _meta(cfg: FieldConfig, args: RunConfig) -> dict:
     }
 
 
-def _emit_report(report: dict, args: RunConfig):
+def _emit_report(report: dict, args: argparse.Namespace):
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
@@ -217,7 +197,7 @@ def matrix_to_json(elt, side: str, cfg: FieldConfig) -> dict:
     return {"p": cfg.p, "u": cfg.u, "n": n, "side": side, "entries": entries}
 
 
-def cmd_orbit(args: RunConfig) -> int:
+def cmd_orbit(args: argparse.Namespace) -> int:
     elt, side, cfg = load_matrix(args.input, args.precision)
     if args.side and args.side != side:
         print(f"note: file says side={side}, flag says side={args.side}; using flag",
@@ -245,7 +225,7 @@ def cmd_orbit(args: RunConfig) -> int:
     return 0
 
 
-def cmd_invariants(args: RunConfig) -> int:
+def cmd_invariants(args: argparse.Namespace) -> int:
     elt, side, cfg = load_matrix(args.input, args.precision)
     a = invariants_of(elt)
     out = a.to_json_dict()
@@ -258,11 +238,10 @@ def cmd_invariants(args: RunConfig) -> int:
     return 0
 
 
-def cmd_represent(args: RunConfig) -> int:
+def cmd_represent(args: argparse.Namespace) -> int:
     with open(args.input) as fh:
         obj = json.load(fh)
-    cfg = FieldConfig(args.p, args.u if args.u is not None else
-                      smallest_nonresidue(args.p), args.precision)
+    cfg = field_config(args)
     a = InvariantPoint.from_json_dict(obj, cfg)
     try:
         if args.side == "u":
@@ -282,8 +261,8 @@ def cmd_represent(args: RunConfig) -> int:
     return 0
 
 
-def cmd_fourier_check(args: RunConfig) -> int:
-    cfg = args.field_config()
+def cmd_fourier_check(args: argparse.Namespace) -> int:
+    cfg = field_config(args)
     level = (args.level, args.level)
     results = {
         "unit_selfdual": unit_selfdual_check(cfg, args.n),
@@ -294,8 +273,8 @@ def cmd_fourier_check(args: RunConfig) -> int:
     return 0 if all(results.values()) else 1
 
 
-def cmd_lemma1(args: RunConfig) -> int:
-    cfg = args.field_config()
+def cmd_lemma1(args: argparse.Namespace) -> int:
+    cfg = field_config(args)
     rng = _child_rng(args.seed, 0)
     done = 0
     failures = 0
@@ -409,25 +388,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        args = RunConfig(
-            n=getattr(ns, "n", 2),
-            p=getattr(ns, "p", 3),
-            u=getattr(ns, "u", None),
-            samples=getattr(ns, "samples", 100),
-            seed=getattr(ns, "seed", 0),
-            height=getattr(ns, "height", 50),
-            precision=_resolve_precision(ns),
-            explosion_bound=getattr(ns, "explosion_bound", 12),
-            vanishing_fraction=getattr(ns, "vanishing_fraction", 0.2),
-            out=getattr(ns, "out", None),
-            csv=getattr(ns, "csv", None),
-            level=getattr(ns, "level", 1),
-            trials=getattr(ns, "trials", 10),
-            oracle=getattr(ns, "oracle", False),
-            side=getattr(ns, "side", None),
-            input=getattr(ns, "input", None),
-        )
-        args.field_config()  # validate p, u, precision before any work
+        ns.precision = _resolve_precision(ns)
+        field_config(ns)  # validate p, u, precision before any work
     except (ValueError, FLLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -440,7 +402,7 @@ def main(argv=None) -> int:
         "lemma1": cmd_lemma1,
     }
     try:
-        return handlers[ns.command](args)
+        return handlers[ns.command](ns)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -183,9 +183,6 @@ class InvariantPoint:
     def d_list(self):
         return self._derive()[1]
 
-    def corner_charpoly(self):
-        return self._derive()[2]
-
     def q(self):
         if self.n < 2:
             raise ValueError("q needs n >= 2")
@@ -292,16 +289,34 @@ def _exact_rank(rows, ncols: int) -> int:
     return rank
 
 
-def _commutator_rows(Yp: Matrix, m: int, cfg):
+def _commutator_rows(Yp: Matrix, m: int, zero):
     rows = []
     for i in range(m):
         for j in range(m):
-            row = [cfg.zero()] * (m * m)
+            row = [zero] * (m * m)
             for k in range(m):
                 row[i * m + k] = row[i * m + k] + Yp[k, j]
                 row[k * m + j] = row[k * m + j] - Yp[i, k]
             rows.append(row)
     return rows
+
+
+def _split_quad_rows(rows_E, m: int, cfg):
+    """E-linear rows in g = g0 + g1*w as F-linear rows in the 2m^2 unknowns (g0, g1)."""
+    u = cfg.u
+    out = []
+    for row in rows_E:
+        re_row = [cfg.zero()] * (2 * m * m)
+        im_row = [cfg.zero()] * (2 * m * m)
+        for k, x in enumerate(row):
+            # (a + bw)(g0 + g1 w) = (a g0 + u b g1) + (b g0 + a g1) w
+            re_row[k] = x.a
+            re_row[m * m + k] = x.b * u
+            im_row[k] = x.b
+            im_row[m * m + k] = x.a
+        out.append(re_row)
+        out.append(im_row)
+    return out
 
 
 def centralizer_is_trivial(y) -> bool:
@@ -316,68 +331,26 @@ def centralizer_is_trivial(y) -> bool:
     if m == 0:
         return True
     cfg = y.cfg
-    Yp, b, c = y.corner(), y.b_col(), y.c_row()
-    if isinstance(y, HnElement):
-        # split E-linear systems into F-linear ones via the 1, w basis
-        return _centralizer_trivial_quad(Yp, b, c, m, cfg)
-    base = _commutator_rows(Yp, m, cfg)
+    quad = isinstance(y, HnElement)
+    zero = cfg.quad(0, 0) if quad else cfg.zero()
+    b, c = y.b_col(), y.c_row()
+    base = _commutator_rows(y.corner(), m, zero)
     left = list(base)
     for i in range(m):
-        row = [cfg.zero()] * (m * m)
+        row = [zero] * (m * m)
         for k in range(m):
             row[i * m + k] = b[k]
         left.append(row)
     right = list(base)
     for j in range(m):
-        row = [cfg.zero()] * (m * m)
+        row = [zero] * (m * m)
         for k in range(m):
             row[k * m + j] = c[k]
         right.append(row)
-    return _exact_rank(left, m * m) == m * m and _exact_rank(right, m * m) == m * m
-
-
-def _centralizer_trivial_quad(Yp, b, c, m, cfg) -> bool:
-    """Same computation over E with g = g0 + g1*w split into 2m^2 F-unknowns."""
-    u = cfg.u
-
-    def split_rows(rows_E):
-        out = []
-        for row in rows_E:
-            re_row = [cfg.zero()] * (2 * m * m)
-            im_row = [cfg.zero()] * (2 * m * m)
-            for k, x in enumerate(row):
-                # (a + bw)(g0 + g1 w) = (a g0 + u b g1) + (b g0 + a g1) w
-                re_row[k] = x.a
-                re_row[m * m + k] = x.b * u
-                im_row[k] = x.b
-                im_row[m * m + k] = x.a
-            out.append(re_row)
-            out.append(im_row)
-        return out
-
-    base = []
-    for i in range(m):
-        for j in range(m):
-            row = [cfg.quad(0, 0)] * (m * m)
-            for k in range(m):
-                row[i * m + k] = row[i * m + k] + Yp[k, j]
-                row[k * m + j] = row[k * m + j] - Yp[i, k]
-            base.append(row)
-    left_E = list(base)
-    for i in range(m):
-        row = [cfg.quad(0, 0)] * (m * m)
-        for k in range(m):
-            row[i * m + k] = b[k]
-        left_E.append(row)
-    right_E = list(base)
-    for j in range(m):
-        row = [cfg.quad(0, 0)] * (m * m)
-        for k in range(m):
-            row[k * m + j] = c[k]
-        right_E.append(row)
-    left = split_rows(left_E)
-    right = split_rows(right_E)
-    full = 2 * m * m
+    full = m * m
+    if quad:  # over E, solve for g = g0 + g1*w in F-unknowns
+        left, right = _split_quad_rows(left, m, cfg), _split_quad_rows(right, m, cfg)
+        full *= 2
     return _exact_rank(left, full) == full and _exact_rank(right, full) == full
 
 
@@ -390,7 +363,7 @@ def embedded_centralizer_dim(y: GlnElement) -> int:
     Yp, b, c = y.corner(), y.b_col(), y.c_row()
     nvar = m * m + 1
     rows = []
-    for base in _commutator_rows(Yp, m, cfg):
+    for base in _commutator_rows(Yp, m, cfg.zero()):
         rows.append(base + [cfg.zero()])
     for i in range(m):
         row = [cfg.zero()] * nvar

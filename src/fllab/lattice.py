@@ -299,8 +299,10 @@ def enumerate_all_between(L0: Lattice, L1: Lattice, max_quotient_exp: int = 8):
     triangular matrices relative to L1 (no stability logic).
 
     Diagonal exponents are chosen first (so the canonical below-diagonal
-    ranges (i, j) -> [0, p^{k_i}) are known), then each candidate is filtered
-    by containment of L0.  Each lattice in the box appears exactly once.
+    ranges (i, j) -> [0, p^{k_i}) are known), then each candidate digit matrix
+    is filtered by containment of L0 in L1 coordinates; only the survivors are
+    mapped back and put in canonical form.  Each lattice in the box appears
+    exactly once.
     """
     if not L1.contains_lattice(L0):
         raise ValueError("L0 must be contained in L1")
@@ -312,6 +314,7 @@ def enumerate_all_between(L0: Lattice, L1: Lattice, max_quotient_exp: int = 8):
     cfg = L0.cfg
     p = cfg.p
     quad = L0.kind == "E"
+    rel_L0 = [L1.coords(L0.basis.col(j)) for j in range(m)]
 
     def scalars(exp):
         if quad:
@@ -338,6 +341,9 @@ def enumerate_all_between(L0: Lattice, L1: Lattice, max_quotient_exp: int = 8):
                 ]
             cols_choices = [cc + [c] for cc in cols_choices for c in variants]
         for cols in cols_choices:
+            digits = Lattice(Matrix(cfg, list(zip(*cols))), L0.kind, canonical=True)
+            if not all(digits.contains(v) for v in rel_L0):
+                continue
             gens = []
             for col in cols:
                 vec = None
@@ -346,6 +352,5 @@ def enumerate_all_between(L0: Lattice, L1: Lattice, max_quotient_exp: int = 8):
                     vec = term if vec is None else [a + b for a, b in zip(vec, term)]
                 gens.append(vec)
             L = Lattice.from_generators(gens, cfg, L0.kind)
-            if L.contains_lattice(L0):
-                out[L.key()] = L
+            out[L.key()] = L
     return sorted(out.values(), key=lambda L: L.key())

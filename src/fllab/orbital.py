@@ -24,15 +24,20 @@ with the index sign of the Krylov basis into (-1)^(val det H):
     O(Y, 1) = (-1)^(val det H) * sum over L of (-1)^[L : O^m].
 
 A structurally independent oracle re-derives both counts in the element's
-own coordinates by enumerating canonical coset representatives in a bounded
-box and testing g . Y . g^-1 integrality entrywise.
+own coordinates: it enumerates every lattice L in a bounded box, with no
+stability logic, and tests diag(g, 1) . Y . diag(g, 1)^-1 for entrywise
+integrality with g = B^-1 for the canonical basis B of L.  The coset
+representatives attached to L are the k . B^-1 with k in GL_{n-1}(O) (on the
+unitary side, the unitary ones among them), and multiplying g on the left by
+such a k does not change whether the conjugate is integral, so any basis of
+L gives the same answer and the oracle needs exact arithmetic only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NormalFormFailure, NotRss, OracleTooLarge
+from .errors import NormalFormFailure, NotRss, OracleTooLarge, SideError
 from .geometry import (
     GlnElement,
     HnElement,
@@ -135,13 +140,18 @@ def orbital_gl_unit(Y: GlnElement, bound_exp: int = 12) -> OrbitalResult:
 
 
 def orbital_oracle(side: str, elt, max_exp: int = 4) -> int:
-    """Same value by direct enumeration of canonical coset representatives.
+    """Same value by direct enumeration of the lattices in a bounded box.
 
-    Enumerates all canonical lattices in the box given by the Krylov bounds,
-    rebuilds the coset representative g from each candidate basis (for the
-    unitary side through a Gram-matrix split), and tests g . elt . g^-1 for
-    entrywise integrality.  Supported for rank n-1 <= 2 and small boxes.
+    The box runs from Lmin = O[X']b up to the hermitian dual of Lmin on the
+    unitary side, and up to the dual of the row Krylov lattice of c on the
+    general-linear side.  Each L in it (self-dual ones only on the unitary
+    side) counts 1, or its index sign on the general-linear side, when
+    diag(B^-1, 1) . elt . diag(B, 1) is integral for its basis B; any basis
+    of L gives the same answer (see the module docstring).  Supported for
+    rank n-1 <= 2 and small boxes.
     """
+    if not isinstance(elt, HnElement if side == "u" else GlnElement):
+        raise SideError(f"oracle side {side!r} does not take a {type(elt).__name__}")
     n = elt.n
     if n - 1 > 2:
         raise OracleTooLarge("oracle supports rank at most 2")
@@ -149,66 +159,26 @@ def orbital_oracle(side: str, elt, max_exp: int = 4) -> int:
         entry = elt.mat[0, 0]
         entry = entry.f_part() if side == "u" else entry
         return 1 if entry.is_integral() else 0
+    Xp = elt.corner()
+    Lmin = module_closure(Xp, elt.b_col(), kind="E" if side == "u" else "F").to_lattice()
     if side == "u":
-        return _oracle_u(elt, max_exp)
-    return _oracle_gl(elt, max_exp)
-
-
-def _row_constraint_lattice(Yp: Matrix, c) -> Lattice:
-    """K0 = {v : c Y'^k v in O, k = 0..m-1} = dual of the Krylov span of c."""
-    rows = module_closure(Yp.transpose(), list(c), kind="F")
-    if not rows.full_rank:
-        raise NotRss("row Krylov space degenerate despite rss test")
-    return rows.to_lattice().dual()
-
-
-def _oracle_gl(Y: GlnElement, max_exp: int) -> int:
-    cfg = Y.cfg
-    n = Y.n
-    Yp, b, c = Y.corner(), Y.b_col(), Y.c_row()
-    Lmin = module_closure(Yp, b, kind="F").to_lattice()
-    K0 = _row_constraint_lattice(Yp, c)
-    if not K0.contains_lattice(Lmin):
-        return 0
-    box = enumerate_all_between(Lmin, K0, max_quotient_exp=max_exp)
-    total = 0
-    for L in box:
-        g = inverse(L.basis)
-        conj = _embed(g, n) * Y.mat * _embed(inverse(g), n)
-        if conj.is_integral():
-            vg = int(val_det(g))
-            total += -1 if vg % 2 else 1
-    return transfer_sign(Y).omega * total
-
-
-def _oracle_u(X: HnElement, max_exp: int) -> int:
-    cfg = X.cfg
-    n = X.n
-    Xp, b = X.corner(), X.b_col()
-    Lmin = module_closure(Xp, b, kind="E").to_lattice()
-    Lmax = Lmin.dual()
+        Lmax = Lmin.dual()
+    else:
+        # {v : c X'^k v in O for all k} = dual of the Krylov span of the row c
+        rows = module_closure(Xp.transpose(), list(elt.c_row()), kind="F")
+        if not rows.full_rank:
+            raise NotRss("row Krylov space degenerate despite rss test")
+        Lmax = rows.to_lattice().dual()
     if not Lmax.contains_lattice(Lmin):
         return 0
-    box = enumerate_all_between(Lmin, Lmax, max_quotient_exp=max_exp)
-    count = 0
-    for L in box:
-        G = L.gram()
-        if not G.is_integral():
+    total = 0
+    for L in enumerate_all_between(Lmin, Lmax, max_quotient_exp=max_exp):
+        if side == "u" and not L.is_selfdual():
             continue
-        vd = val_det(G)
-        if vd is INF or vd != 0:
-            continue
-        C = hermitian_split(G)
-        Bprime = L.basis * inverse(C)
-        g = inverse(Bprime)
-        resid = g.sigma_transpose() * g - Matrix.identity(cfg, n - 1, quad=True)
-        for row in resid.entries:
-            for x in row:
-                assert x.is_zero_at_precision() or x.valuation_lower_bound() >= cfg.D - 6
-        conj = _embed(g, n) * X.mat * _embed(inverse(g), n)
-        if conj.is_integral():
-            count += 1
-    return count
+        B = L.basis
+        if (_embed(inverse(B), n) * elt.mat * _embed(B, n)).is_integral():
+            total += 1 if side == "u" else L.index_sign()
+    return total if side == "u" else transfer_sign(elt).omega * total
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    ConductorExceeded,
     DivisionByZero,
     OddValuation,
     PrecisionExhausted,
@@ -638,22 +637,6 @@ def _hensel_sqrt(w: PAdicScalar, r0: int, cfg: FieldConfig) -> PAdicScalar:
         x = (x + (wl % mod) * pow(x, -1, mod)) % mod
         x = (x * pow(2, -1, mod)) % mod
     return PAdicScalar.inexact(cfg, 0, x % target, digits)
-
-
-def psi_exponent(x, m: int, cfg: FieldConfig) -> int:
-    """k with psi(x) = zeta_{p^m}^k for the standard unramified character.
-
-    Only the fractional part of x matters (psi is trivial on O_F); requires
-    val(x) >= -m, i.e. the argument lies within the conductor range.
-    """
-    if isinstance(x, (int, Fraction)):
-        x = cfg.scalar(x)
-    lb = x.valuation_lower_bound()
-    if lb is INF or lb >= 0:
-        return 0
-    if lb < -m:
-        raise ConductorExceeded(f"val(x) = {lb} below conductor exponent -{m}")
-    return x.lift_scaled(-m, 0) % cfg.p**m
 
 
 # ----------------------------------------------------------------------

@@ -97,6 +97,19 @@ def test_orbit_rss_failure(tmp_path, capsys):
     assert "not relatively regular semi-simple" in err
 
 
+def test_orbit_oracle_side_mismatch(tmp_path, capsys):
+    # a general-linear matrix read as unitary: the oracle refuses the wrong side
+    mat = {"p": 3, "u": -1, "n": 2, "side": "gl",
+           "entries": [["1", "3"], ["1", "0"]]}
+    path = tmp_path / "y.json"
+    path.write_text(json.dumps(mat))
+    code, out, err = run_cli(capsys, "orbit", "--side", "u", "--input", str(path),
+                             "--oracle")
+    assert code == 1
+    assert out == ""
+    assert "oracle side 'u'" in err
+
+
 def test_orbit_parse_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fllab.errors import NotRss, OracleTooLarge
+from fllab.errors import NotRss, OracleTooLarge, SideError
 from fllab.geometry import (
     GlnElement,
     HnElement,
@@ -78,6 +78,14 @@ def test_oracle_examples():
     with pytest.raises(OracleTooLarge):
         x, y, a = sample_matched_pair(4, CFG3, 5, seed=3)
         orbital_oracle("u", x)
+
+
+def test_oracle_rejects_wrong_side():
+    y = GlnElement(Matrix.from_rows(CFG3, [[1, 3], [1, 0]]))
+    with pytest.raises(SideError):
+        orbital_oracle("u", y)
+    with pytest.raises(SideError):
+        orbital_oracle("gl", hX())
 
 
 def _oracle_instances(side, n, count, seed, cfg=CFG3, height=5):
@@ -172,6 +180,7 @@ def test_fl_compare_count_three():
     a = invariants_of(X)
     r = fl_compare(a, 10)
     assert (r.o_u, r.o_gl) == (3, 3)
+    assert orbital_oracle("u", X, 8) == 3
     assert orbital_oracle("gl", gl_representative(a)) == 3
 
 

@@ -14,10 +14,10 @@ from fllab.padic import (
     format_scalar,
     from_rational,
     parse_scalar,
-    psi_exponent,
     smallest_nonresidue,
     solve_norm_equation,
 )
+from fllab.weil import psi_exponent_fraction
 
 CFG3 = FieldConfig(3, -1)
 CFG5 = FieldConfig(5, 2)
@@ -183,9 +183,9 @@ def test_even_valuation_scaling():
 
 
 def test_psi_exponent():
-    assert psi_exponent(CFG3.scalar(5), 2, CFG3) == 0
-    assert psi_exponent(Fraction(1, 3), 2, CFG3) == 3  # zeta_9^3 = zeta_3
-    assert psi_exponent(Fraction(2, 9), 2, CFG3) == 2
+    assert psi_exponent_fraction(Fraction(5), 3, 2) == 0
+    assert psi_exponent_fraction(Fraction(1, 3), 3, 2) == 3  # zeta_9^3 = zeta_3
+    assert psi_exponent_fraction(Fraction(2, 9), 3, 2) == 2
 
 
 def test_scalar_literal_roundtrip():
