@@ -206,6 +206,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     if not is_rss(elt):
         print("error: not relatively regular semi-simple", file=sys.stderr)
         return 1
+    oracle = orbital_oracle(side, elt) if args.oracle else None
     if side == "u":
         res = orbital_u_unit(elt, args.explosion_bound)
     else:
@@ -218,7 +219,6 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     if res.omega is not None:
         out["omega"] = res.omega
     if args.oracle:
-        oracle = orbital_oracle(side, elt)
         out["oracle"] = oracle
         out["oracle_agrees"] = oracle == res.value
     print(json.dumps(out, indent=2, sort_keys=True))

@@ -2,10 +2,12 @@
 
 A lattice is stored by its canonical triangular basis (columns generate,
 exact entries), so equality of lattices is bit-equality of bases.  The
-enumeration of T-stable lattices between two bounds walks the poset of
-stable modules through minimal extensions (cyclic closures of p-layer
-vectors), de-duplicating by canonical form; a structurally independent
-box enumeration backs the test oracles.
+T-stable lattices between two bounds are found by a walk up the poset of
+stable modules: each stable L > M holds a closure M + O[T] v of some v in
+the p-layer p^-1 M, and it only depends on the residue-field line of v.  For
+a hermitian form the walk keeps to integral lattices (L <= L^dual), which
+reach every self-dual one, as all lattices below an integral one are
+integral.  A structurally independent box enumeration backs the oracles.
 
 Distinct calls are independent and freely parallelizable.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ExplosionGuard, ZeroModule
-from .linalg import Matrix, hnf_basis, inverse, val_det
+from .linalg import Matrix, _dot, hnf_basis, inverse, val_det
 from .padic import INF, FieldConfig, QuadScalar
 
 
@@ -46,10 +48,7 @@ class Lattice:
 
     @staticmethod
     def from_generators(cols, cfg: FieldConfig, kind: str = "F") -> "Lattice":
-        mat, pivots = hnf_basis(cols, cfg, quad=(kind == "E"))
-        if len(pivots) != len(cols[0]):
-            raise ValueError("generators do not span a full-rank lattice")
-        return Lattice(mat, kind, canonical=True)
+        return Lattice(Matrix(cfg, list(zip(*cols))), kind)
 
     # -- basic data -------------------------------------------------------
 
@@ -151,9 +150,6 @@ class Lattice:
         cols += [other.basis.col(j) for j in range(other.rank)]
         return Lattice.from_generators(cols, self.cfg, self.kind)
 
-    def intersect(self, other: "Lattice") -> "Lattice":
-        return self.dual().sum(other.dual()).dual()
-
 
 class ModuleBasis:
     """Canonical basis of a possibly lower-rank O-module (flagged)."""
@@ -192,38 +188,32 @@ def stabilizes(T: Matrix, L: Lattice) -> bool:
     return all(L.contains(T.apply(L.basis.col(j))) for j in range(L.rank))
 
 
-def quotient_reps(sub: Lattice, sup: Lattice):
-    """Exact coset representatives of sup/sub (triangular digit vectors)."""
-    rel_cols = [sup.coords(sub.basis.col(j)) for j in range(sub.rank)]
-    mat, pivots = hnf_basis(rel_cols, sub.cfg, quad=(sub.kind == "E"))
+def quotient_reps(sub: Lattice, layer: Lattice):
+    """One vector per line of layer/sub, a vector space over the residue field k
+    (k_F, or k_E over O_E) when layer is a p-layer: sub <= layer <= p^-1 sub.
+
+    Against layer's basis b_j, sub has canonical diagonal 1 or p.  The vectors
+    sum t_j b_j, t_j in k on the p columns, are one per coset and, as
+    p.layer <= sub, add and scale like the quotient; those whose leading
+    nonzero digit is 1 are one per line, (Q^d - 1)/(Q - 1) for dimension d and
+    Q = |k|.  The walk needs no more: M + O[T] v only depends on the line of v.
+    """
+    cfg, quad = sub.cfg, sub.kind == "E"
+    rel_cols = [layer.coords(sub.basis.col(j)) for j in range(sub.rank)]
+    mat, pivots = hnf_basis(rel_cols, cfg, quad=quad)
     assert len(pivots) == sub.rank
-    p = sub.cfg.p
-    exps = []
-    for j in range(mat.cols):
-        d = mat[pivots[j], j]
-        dv = d.a.valuation() if isinstance(d, QuadScalar) else d.valuation()
-        exps.append(int(dv))
-    quad = sub.kind == "E"
-
-    def digit_values(e):
-        if quad:
-            return [
-                sub.cfg.quad(x, y) for x in range(p**e) for y in range(p**e)
-            ]
-        return [sub.cfg.scalar(x) for x in range(p**e)]
-
-    reps = [[]]
-    for e in exps:
-        vals = digit_values(e)
-        reps = [r + [v] for r in reps for v in vals]
+    exps = [(mat[i, j].a if quad else mat[i, j]).valuation() for j, i in enumerate(pivots)]
+    if max(exps) > 1:
+        raise ValueError("layer is not a p-layer of sub")
+    free = [layer.basis.col(j) for j, e in enumerate(exps) if e == 1]
+    r = range(cfg.p)
+    digits = [cfg.quad(x, y) for x in r for y in r] if quad else [cfg.scalar(x) for x in r]
     out = []
-    for digits in reps:
-        vec = None
-        for j, t in enumerate(digits):
-            col = sup.basis.col(j)
-            term = [x * t for x in col]
-            vec = term if vec is None else [a + b for a, b in zip(vec, term)]
-        out.append(vec)
+    for lead, col in enumerate(free):
+        vecs = [col]
+        for b in free[lead + 1:]:
+            vecs = [[x + t * y for x, y in zip(v, b)] for v in vecs for t in digits]
+        out += vecs
     return out
 
 
@@ -232,17 +222,20 @@ def quotient_size_exp(sub: Lattice, sup: Lattice) -> int:
     return sub.val_det() - sup.val_det()
 
 
-def p_layer(M: Lattice, top: Lattice) -> Lattice:
-    """{v in top : p v in M} = (p^-1 M) /\\ top."""
-    return M.scaled(-1).intersect(top)
+def enumerate_stable_between(L0: Lattice, L1: Lattice, T: Matrix, bound_exp: int = 12,
+                             form: Matrix | None = None):
+    """All lattices L with L0 <= L <= L1 and T L <= L, complete, duplicate-free and
+    sorted by key; with a hermitian form H, for which T must be self-adjoint,
+    only the H-integral ones (L <= L^dual(H)).
 
-
-def enumerate_stable_between(L0: Lattice, L1: Lattice, T: Matrix, bound_exp: int = 12):
-    """All lattices L with L0 <= L <= L1 and T L <= L, complete and duplicate-free.
-
-    Walks upward from L0 by cyclic closures M + O[T] v of p-layer vectors
-    (every minimal stable extension is of this shape), de-duplicating by
-    canonical form; output sorted by canonical key.
+    Walks up from L0, extending each found M by the closures M + O[T] v of one
+    v per line of its p-layer p^-1 M /\\ L1 (/\\ M^dual(H) with a form).  A
+    wanted L > M meets it outside M, as L <= L1 (and L <= L^dual <= M^dual),
+    in a v whose closure lies in L; with a form the chain up to L stays integral,
+    as N <= L <= L^dual <= N^dual.  A closure is integral iff all h(v, T^k v),
+    k < m, are (v is in M^dual, T is self-adjoint and integral), and the others
+    are dropped.  The walk ends at L1, or at a self-dual M, whose layer is M.
+    ExplosionGuard bounds all of L1/L0, before the walk.
     """
     if not L1.contains_lattice(L0):
         raise ValueError("L0 must be contained in L1")
@@ -251,34 +244,42 @@ def enumerate_stable_between(L0: Lattice, L1: Lattice, T: Matrix, bound_exp: int
     e = quotient_size_exp(L0, L1) * (2 if L0.kind == "E" else 1)
     if e > bound_exp:
         raise ExplosionGuard(f"quotient size p^{e} exceeds p^{bound_exp}")
-    m = L0.rank
+    if form is not None and not L0.gram(form).is_integral():
+        return []
+    m, cfg, p = L0.rank, L0.cfg, L0.cfg.scalar(L0.cfg.p)
+    # the layer is the dual of p M^dual + L1^dual (+ sigma(H)^T M); it is M at
+    # M = L1, or where val det M^dual = -val det M - val det H equals val det M
+    top = [list(c) for c in inverse(L1._pairing_rows(None)).transpose().entries]
+    end_vd = L1.val_det() if form is None else Fraction(-val_det(form), 2)
     found = {L0.key(): L0}
     frontier = [L0]
-    top_key = L1.key()
     while frontier:
         M = frontier.pop()
-        if M.key() == top_key:
+        if M.val_det() == end_vd:
             continue
-        layer = p_layer(M, L1)
-        for v in quotient_reps(M, layer):
-            if all(x.is_exact_zero() for x in v):
-                continue
-            gens = [M.basis.col(j) for j in range(m)]
-            w = list(v)
-            for _ in range(m):
-                gens.append(list(w))
-                w = T.apply(w)
-            N = Lattice.from_generators(gens, L0.cfg, L0.kind)
-            k = N.key()
-            if k not in found:
-                found[k] = N
+        gens = [[x * p for x in c] for c in inverse(M._pairing_rows(None)).transpose().entries]
+        if form is not None:
+            gens += [[x.sigma() for x in row] for row in M._pairing_rows(form).entries]
+        base = [M.basis.col(j) for j in range(m)]
+        for v in quotient_reps(M, Lattice.from_generators(gens + top, cfg, L0.kind).dual()):
+            new = [v]
+            for _ in range(m - 1):
+                new.append(T.apply(new[-1]))
+            if form is not None:
+                hv = [x.sigma() for x in form.apply(v)]  # h(v, w) = hv . w
+                if not all(_dot(hv, w).is_integral() for w in new):
+                    continue
+            N = Lattice.from_generators(base + new, cfg, L0.kind)
+            if N.key() not in found:
+                found[N.key()] = N
                 frontier.append(N)
     return sorted(found.values(), key=lambda L: L.key())
 
 
 def enumerate_selfdual_stable(T: Matrix, H: Matrix, bound_exp: int = 12):
     """All L with O_E^m <= L <= H^-1 O_E^m and T L <= L that are self-dual for
-    h(v, w) = sigma(v)^T H w.
+    h(v, w) = sigma(v)^T H w: among the H-integral ones the walk finds, those
+    with [L^dual : L] = 1, i.e. val det L = -val det H / 2.
 
     Empty when H is not integral (no self-dual lattice can contain O_E^m).
     T must be integral and self-adjoint for h, which makes H^-1 O_E^m T-stable.
@@ -286,8 +287,9 @@ def enumerate_selfdual_stable(T: Matrix, H: Matrix, bound_exp: int = 12):
     if not H.is_integral():
         return []
     std = Lattice.standard(H.cfg, H.rows, kind="E")
-    cands = enumerate_stable_between(std, std.dual(H), T, bound_exp)
-    return [L for L in cands if L.is_selfdual(H)]
+    half = Fraction(-val_det(H), 2)
+    return [L for L in enumerate_stable_between(std, std.dual(H), T, bound_exp, form=H)
+            if L.val_det() == half]
 
 
 # ----------------------------------------------------------------------

@@ -43,6 +43,7 @@ from .geometry import (
     HnElement,
     InvariantPoint,
     _embed,
+    block_q,
     gl_representative,
     invariants_of,
     is_rss,
@@ -120,6 +121,8 @@ def _corner_data(x):
 
 def orbital_u_unit(X: HnElement, bound_exp: int = 12) -> OrbitalResult:
     """O(X, 1_{h_n(O)}): count of self-dual stable lattices, or 0 off support."""
+    if not isinstance(X, HnElement):
+        raise SideError(f"side 'u' does not take a {type(X).__name__}")
     if not is_rss(X):
         raise NotRss("unitary orbital integral needs an rss element")
     value, count = _krylov_value("u", *_corner_data(X), bound_exp)
@@ -129,6 +132,8 @@ def orbital_u_unit(X: HnElement, bound_exp: int = 12) -> OrbitalResult:
 def orbital_gl_unit(Y: GlnElement, bound_exp: int = 12) -> OrbitalResult:
     """O(Y, 1_{gl_n(O)}) = omega(Y) * sum of index signs over admissible lattices,
     counted in the Krylov basis; omega(Y) is reported with it."""
+    if not isinstance(Y, GlnElement):
+        raise SideError(f"side 'gl' does not take a {type(Y).__name__}")
     if not is_rss(Y):
         raise NotRss("general-linear orbital integral needs an rss element")
     value, count = _krylov_value("gl", *_corner_data(Y), bound_exp)
@@ -297,8 +302,6 @@ def lemma1_check(X: HnElement, bound_exp: int = 12) -> Lemma1Report:
     Requires q(X) to be a unit and the corner element to be rss in its own
     right (raises NotRss otherwise, callers resample).
     """
-    from .geometry import block_q
-
     cfg = X.cfg
     n = X.n
     if n < 2:
@@ -315,18 +318,15 @@ def lemma1_check(X: HnElement, bound_exp: int = 12) -> Lemma1Report:
     corner_u = HnElement(Xn.corner(), check=False)
     if n > 2 and not is_rss(corner_u):
         raise NotRss("corner element not rss; resample")
-    lam = X.lam()
-    lam_ok = lam.is_integral()
+    lam_ok = X.lam().is_integral()
 
-    o_u = orbital_u_unit(X, bound_exp).value
-    o_u_corner = orbital_u_unit(corner_u, bound_exp).value if n > 2 else (
-        1 if corner_u.mat[0, 0].f_part().is_integral() else 0)
-    rhs_u = (o_u_corner if lam_ok else 0)
-    eq_u = o_u == rhs_u
+    # X and the corners are known rss here, so the values skip the wrappers' checks
+    o_u, o_u_corner = (_krylov_value("u", *_corner_data(x), bound_exp)[0]
+                       for x in (X, corner_u))
+    eq_u = o_u == (o_u_corner if lam_ok else 0)
 
     # matched general-linear side
     Y = gl_representative(invariants_of(X))
-    m = n - 1
     gamma_rows = _annihilator_rows(Y.b_col(), cfg) + [Y.c_row()]
     gamma = Matrix(cfg, gamma_rows)
     if val_det(gamma) is INF:
@@ -335,10 +335,8 @@ def lemma1_check(X: HnElement, bound_exp: int = 12) -> Lemma1Report:
     corner_gl = GlnElement(Yn.corner())
     if n > 2 and not is_rss(corner_gl):
         raise NotRss("gl corner element not rss; resample")
-    o_gl = orbital_gl_unit(Y, bound_exp).value
-    o_gl_corner = orbital_gl_unit(corner_gl, bound_exp).value if n > 2 else (
-        1 if corner_gl.mat[0, 0].is_integral() else 0)
-    rhs_gl = (o_gl_corner if lam_ok else 0)
-    eq_gl = o_gl == rhs_gl
+    o_gl, o_gl_corner = (_krylov_value("gl", *_corner_data(y), bound_exp)[0]
+                         for y in (Y, corner_gl))
+    eq_gl = o_gl == (o_gl_corner if lam_ok else 0)
 
     return Lemma1Report(eq_u, eq_gl, o_u, o_u_corner, o_gl, o_gl_corner, lam_ok)

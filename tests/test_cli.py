@@ -110,6 +110,17 @@ def test_orbit_oracle_side_mismatch(tmp_path, capsys):
     assert "oracle side 'u'" in err
 
 
+def test_orbit_side_mismatch(tmp_path, capsys):
+    # the same general-linear matrix read as unitary, without the oracle
+    mat = {"p": 3, "n": 2, "side": "gl", "entries": [["1", "3"], ["1", "0"]]}
+    path = tmp_path / "y.json"
+    path.write_text(json.dumps(mat))
+    code, out, err = run_cli(capsys, "orbit", "--side", "u", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert "side 'u' does not take a GlnElement" in err
+
+
 def test_orbit_parse_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

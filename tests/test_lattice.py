@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 
 from fllab.errors import ExplosionGuard, ZeroModule
+from fllab.geometry import HnElement, invariants_of
 from fllab.lattice import (
     Lattice,
     enumerate_all_between,
     enumerate_selfdual_stable,
     enumerate_stable_between,
     module_closure,
+    quotient_reps,
     stabilizes,
 )
 from fllab.linalg import Matrix
@@ -138,6 +140,89 @@ def test_enumerate_selfdual_rank2_matches_filter():
     assert [L.key() for L in got] == [L.key() for L in naive]
     for L in got:
         assert L.val_det() == -2  # unramified: [L : O_E^2] is half of [H^-1 O_E^2 : O_E^2]
+
+
+def _closures(M, T, vecs):
+    out = set()
+    for v in vecs:
+        gens = [M.basis.col(j) for j in range(M.rank)]
+        for _ in range(M.rank):
+            gens.append(v)
+            v = T.apply(v)
+        out.add(Lattice.from_generators(gens, M.cfg, M.kind))
+    return out
+
+
+@pytest.mark.parametrize("kind,d", [("F", 3), ("F", 2), ("E", 2)])
+def test_quotient_reps_one_per_line(kind, d):
+    # layer/sub of dimension d over the residue field, Q = p or p^2 elements
+    quad = kind == "E"
+    layer = Lattice.from_generators(
+        [[F(1), F(2), F(0)], [F(0), F(3), F(1)], [F(0), F(0), F(1)]], CFG3, kind)
+    cols = [[x * F(3) for x in layer.basis.col(j)] for j in range(3)]
+    sub = Lattice.from_generators(cols + [layer.basis.col(0)] * (3 - d), CFG3, kind)
+    Q = 9 if quad else 3
+    reps = quotient_reps(sub, layer)
+    assert len(reps) == (Q ** d - 1) // (Q - 1)
+    # every nonzero coset: all digit vectors on the layer's basis, less the zero one
+    digits = ([CFG3.quad(x, y) for x in range(3) for y in range(3)] if quad
+              else [F(x) for x in range(3)])
+    free = [layer.basis.col(j) for j in range(3 - d, 3)]
+    cosets = [[F(0)] * 3]
+    for b in free:
+        cosets = [[x + t * y for x, y in zip(v, b)] for v in cosets for t in digits]
+    cosets = [v for v in cosets if not sub.contains(v)]
+    assert len(cosets) == Q ** d - 1
+    identity = Matrix.identity(CFG3, 3, quad=quad)
+    C = Matrix.from_rows(CFG3, [[0, 0, 1], [1, 0, 2], [0, 1, -1]], quad=quad)
+    for T in (identity, C):
+        assert _closures(sub, T, reps) == _closures(sub, T, cosets)
+    assert len(_closures(sub, identity, reps)) == len(reps)  # with T = 1, one per line
+    with pytest.raises(ValueError):
+        quotient_reps(layer.scaled(2), layer)
+
+
+# deep integral n=3 points (w^2 = 2) whose Krylov data (C, H) have a nontrivial C
+KRYLOV_POINTS = [
+    (3, [[(-3, 0), (3, -1), (-2, 3)], [(3, 1), (-1, 0), (-2, 1)],
+         [(-2, -3), (-2, -1), (2, 0)]], 2),
+    (3, [[(-2, 0), (-1, -2), (-6, -9)], [(-1, 2), (-1, 0), (0, -27)],
+         [(-6, 9), (0, 27), (2, 0)]], 4),
+    (5, [[(3, 0), (2, -3), (-3, -1)], [(2, 3), (0, 0), (0, 1)],
+         [(-3, 1), (0, -1), (-3, 0)]], 2),
+]
+
+
+def _walk_matches_box(T, H):
+    # the pruned walk (one vector per line, integral lattices only) against the
+    # box filtered by the definitions; returns the self-dual lattices
+    std = Lattice.standard(H.cfg, H.rows, kind="E")
+    integral = [
+        L for L in enumerate_all_between(std, std.dual(H))
+        if stabilizes(T, L) and L.gram(H).is_integral()
+    ]
+    walk = enumerate_stable_between(std, std.dual(H), T, form=H)
+    assert [L.key() for L in walk] == [L.key() for L in integral]
+    got = enumerate_selfdual_stable(T, H)
+    assert [L.key() for L in got] == [L.key() for L in integral if L.dual(H) == L]
+    return got
+
+
+@pytest.mark.parametrize("p,rows,count", KRYLOV_POINTS)
+def test_selfdual_walk_matches_box_krylov(p, rows, count):
+    # C = companion(chi') and H = (d_{i+j}) of the point
+    cfg = FieldConfig(p, 2)
+    X = HnElement(Matrix(cfg, [[cfg.quad(*e) for e in row] for row in rows]))
+    _, d, chi_p = invariants_of(X)._derive()
+    C = Matrix.companion(cfg, chi_p, quad=True)
+    assert len(_walk_matches_box(C, Matrix.hankel(cfg, d, 2))) == count
+
+
+def test_integral_walk_checks_every_krylov_pairing():
+    # v = (1, 1 + w)/3 has h(v, v) = 1 but h(v, Tv) = 2/3: its closure is not integral
+    T = Matrix.from_rows(CFG3, [[0, 1], [1, 0]], quad=True)
+    H = Matrix.from_rows(CFG3, [[3, 0], [0, 3]])
+    assert _walk_matches_box(T, H) == []
 
 
 def test_index_sign():

@@ -88,6 +88,13 @@ def test_oracle_rejects_wrong_side():
         orbital_oracle("gl", hX())
 
 
+def test_orbital_rejects_wrong_side():
+    with pytest.raises(SideError):
+        orbital_u_unit(GlnElement(Matrix.from_rows(CFG3, [[1, 3], [1, 0]])))
+    with pytest.raises(SideError):
+        orbital_gl_unit(hX())
+
+
 def _oracle_instances(side, n, count, seed, cfg=CFG3, height=5):
     rng = random.Random(seed)
     got = 0
@@ -182,6 +189,20 @@ def test_fl_compare_count_three():
     assert (r.o_u, r.o_gl) == (3, 3)
     assert orbital_oracle("u", X, 8) == 3
     assert orbital_oracle("gl", gl_representative(a)) == 3
+
+
+@pytest.mark.parametrize("rows,count", [
+    ([[(-1, 0), (3, 0), (-9, -6), (-18, 0)], [(3, 0), (2, 0), (-18, -18), (9, 6)],
+      [(-9, 6), (-18, 18), (1, 0), (-2, -1)], [(-18, 0), (9, -6), (-2, 1), (-3, 0)]], 7),
+    ([[(1, 0), (-18, 27), (0, 0), (6, 3)], [(-18, -27), (-2, 0), (-1, 2), (-18, -18)],
+      [(0, 0), (-1, -2), (-3, 0), (3, 0)], [(6, -3), (-18, 18), (3, 0), (2, 0)]], 4),
+])
+def test_fl_compare_n4_counts(rows, count):
+    # integral n=4, p=3 points (w^2 = 2) with counts above 3
+    cfg = FieldConfig(3, 2)
+    X = HnElement(Matrix(cfg, [[cfg.quad(*e) for e in row] for row in rows]))
+    r = fl_compare(invariants_of(X), 12)
+    assert (r.o_u, r.o_gl) == (count, count)
 
 
 def test_transfer_sign_is_hankel_parity():
