@@ -262,6 +262,9 @@ def cmd_represent(args: argparse.Namespace) -> int:
 
 
 def cmd_fourier_check(args: argparse.Namespace) -> int:
+    if args.level < 0:
+        print("error: level must be non-negative", file=sys.stderr)
+        return 2
     cfg = field_config(args)
     level = (args.level, args.level)
     results = {

@@ -64,3 +64,7 @@ class NormalFormFailure(FLLabError, RuntimeError):
 
 class ConductorExceeded(FLLabError, ValueError):
     """Character argument falls outside the supported conductor range."""
+
+
+class CoefficientOverflow(FLLabError, ArithmeticError):
+    """An int64 coefficient table could wrap around in the next step."""

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import ExplosionGuard, ZeroModule
 from .linalg import Matrix, _dot, hnf_basis, inverse, val_det
-from .padic import INF, FieldConfig, QuadScalar
+from .padic import FieldConfig, QuadScalar
 
 
 class Lattice:
@@ -61,9 +61,8 @@ class Lattice:
         return self.basis.rows
 
     def val_det(self) -> int:
-        v = val_det(self.basis)
-        assert v is not INF
-        return int(v)
+        """Sum of the diagonal exponents of the triangular canonical basis."""
+        return sum(int(self.basis[j, j].valuation()) for j in range(self.rank))
 
     def index_sign(self) -> int:
         return -1 if self.val_det() % 2 else 1

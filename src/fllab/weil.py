@@ -9,12 +9,16 @@ touch it.  Values live in the exact ring Z[zeta_{p^mc}, 1/p] (conductor
 exponent mc = a + b + 2), internally as integer coefficient vectors in the
 group-ring basis zeta^0..zeta^{p^mc - 1} plus a power-of-p denominator;
 canonical comparison folds through the cyclotomic relation.  Everything is
-exact: no floating point anywhere.
+exact: no floating point, and a step whose int64 coefficients could wrap
+raises CoefficientOverflow instead.
 
 The transform factors through one-dimensional transforms along each
 F-coordinate axis (the general-linear kernel psi(c'b + cb') swaps the two
 blocks; the unitary kernel psi_E(t(c)^sigma b) acts coordinate-wise with
-unit twists 2 and -2u), with autodual normalization vol(M) = 1.
+unit twists 2 and -2u), with autodual normalization vol(M) = 1.  Along an
+axis of P = p^(a+b) cosets the kernel is zeta^(c k l), a DFT of order P over
+the group ring, run as a radix-p transform whose twiddles are cyclic shifts.
+Phases psi(phi(x)) enter as integer grids of zeta exponents, one per coset.
 """
 
 from __future__ import annotations
@@ -24,8 +28,21 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConductorExceeded
+from .errors import CoefficientOverflow, ConductorExceeded
 from .padic import FieldConfig, PAdicScalar, QuadScalar, _frac_val, _val_int
+
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _magnitude(arr: np.ndarray) -> int:
+    """max |arr| as a Python int (0 for an empty array)."""
+    return max(int(arr.max()), -int(arr.min())) if arr.size else 0
+
+
+def _headroom(bound: int):
+    """Raise CoefficientOverflow when a bound on the next coefficients passes int64."""
+    if bound > INT64_MAX:
+        raise CoefficientOverflow(f"coefficients up to {bound} would wrap in int64")
 
 
 def psi_exponent_fraction(x: Fraction, p: int, m: int) -> int:
@@ -51,24 +68,22 @@ class CharacterRing:
         self.phi = p ** (m - 1) * (p - 1)
 
     def fold(self, arr: np.ndarray) -> np.ndarray:
-        """Group-ring coefficients (last axis length q) -> canonical phi basis."""
-        p, q, phi = self.p, self.q, self.phi
-        step = p ** (self.m - 1)
-        out = arr[..., :phi].copy()
-        for r in range(step):
-            high = arr[..., phi + r]
-            for s in range(p - 1):
-                out[..., r + s * step] -= high
-        return out
+        """Group-ring coefficients (last axis length q) -> canonical phi basis:
+        zeta^(phi + r) = -sum_s zeta^(r + s step), step = p^(m-1), s < p - 1."""
+        p, phi = self.p, self.phi
+        low, high = arr[..., :phi], arr[..., phi:]
+        _headroom(_magnitude(low) + _magnitude(high))
+        lead = arr.shape[:-1]
+        out = low.reshape(lead + (p - 1, phi // (p - 1))) - high[..., None, :]
+        return out.reshape(lead + (phi,))
 
     def normalize(self, arr: np.ndarray, den: int):
         """Strip common p factors from a folded array and its denominator."""
-        while den > 0 and (arr % self.p == 0).all():
-            arr = arr // self.p
-            den -= 1
-        if not arr.any():
-            den = 0
-        return arr, den
+        g = int(np.gcd.reduce(arr, axis=None))
+        if g == 0:
+            return arr, 0
+        k = min(_val_int(g, self.p), den)
+        return (arr // self.p**k if k else arr), den - k
 
     def monomial(self, k: int, den: int = 0) -> "CycNumber":
         coeffs = np.zeros(self.q, dtype=np.int64)
@@ -112,9 +127,9 @@ class CycNumber:
 
     def _common(self, other):
         den = max(self.den, other.den)
-        a = self.coeffs * self.ring.p ** (den - self.den)
-        b = other.coeffs * other.ring.p ** (den - other.den)
-        return a, b, den
+        sa, sb = self.ring.p ** (den - self.den), self.ring.p ** (den - other.den)
+        _headroom(sa * _magnitude(self.coeffs) + sb * _magnitude(other.coeffs))
+        return self.coeffs * sa, other.coeffs * sb, den
 
     def __add__(self, other):
         a, b, den = self._common(other)
@@ -126,7 +141,9 @@ class CycNumber:
 
     def __mul__(self, other):
         if isinstance(other, int):
+            _headroom(abs(other) * _magnitude(self.coeffs))
             return CycNumber(self.ring, self.coeffs * other, self.den)
+        _headroom(sum(map(abs, self.coeffs.tolist())) * _magnitude(other.coeffs))
         q = self.ring.q
         conv = np.zeros(q, dtype=np.int64)
         for i, ci in enumerate(self.coeffs):
@@ -137,10 +154,7 @@ class CycNumber:
     __rmul__ = __mul__
 
     def conj(self) -> "CycNumber":
-        idx = (-np.arange(self.ring.q)) % self.ring.q
-        out = np.zeros(self.ring.q, dtype=np.int64)
-        np.add.at(out, idx, self.coeffs)
-        return CycNumber(self.ring, out, self.den)
+        return CycNumber(self.ring, np.roll(self.coeffs[::-1], 1), self.den)
 
     def is_zero(self) -> bool:
         return not self.ring.fold(self.coeffs).any()
@@ -184,19 +198,14 @@ class FiniteLevelFunction:
     __slots__ = ("side", "n", "p", "u", "a", "b", "table", "den", "spectator")
 
     def __init__(self, side, n, p, u, a, b, table, den=0, spectator=None):
-        assert side in ("u", "gl")
-        self.side = side
-        self.n = n
-        self.p = p
-        self.u = u
-        self.a = a
-        self.b = b
-        self.table = table
-        self.den = den
+        if side not in ("u", "gl"):
+            raise ValueError(f"side must be u or gl, not {side!r}")
+        self.side, self.n, self.p, self.u = side, n, p, u
+        self.a, self.b, self.table, self.den = a, b, table, den
         self.spectator = spectator if spectator is not None else SpectatorBox()
-        m = n - 1
-        P = p ** (a + b)
-        assert table.shape == (P,) * (2 * m) + (self.ring.q,)
+        want = (self.P,) * self.axes + (self.ring.q,)
+        if table.shape != want:
+            raise ValueError(f"table shape {table.shape} is not {want}")
 
     # -- derived parameters ------------------------------------------------
 
@@ -228,31 +237,26 @@ class FiniteLevelFunction:
 
     @staticmethod
     def zero(side, n, cfg: FieldConfig, a, b) -> "FiniteLevelFunction":
-        p, u = cfg.p, cfg.u
-        P = p ** (a + b)
-        q = p ** (a + b + 2)
-        table = np.zeros((P,) * (2 * (n - 1)) + (q,), dtype=np.int64)
-        return FiniteLevelFunction(side, n, p, u, a, b, table)
+        if a < 0 or b < 0:
+            raise ValueError("level must be non-negative")
+        p = cfg.p
+        table = np.zeros((p ** (a + b),) * (2 * (n - 1)) + (p ** (a + b + 2),), dtype=np.int64)
+        return FiniteLevelFunction(side, n, p, cfg.u, a, b, table)
 
     @staticmethod
     def unit_box(side, n, cfg: FieldConfig, a, b) -> "FiniteLevelFunction":
         """Indicator of M itself (cosets with all coordinates in O)."""
         f = FiniteLevelFunction.zero(side, n, cfg, a, b)
-        P, pa = f.P, cfg.p**a
-        for idx in np.ndindex(*((P,) * f.axes)):
-            if all(k % pa == 0 for k in idx):
-                f.table[idx + (0,)] = 1
+        f.table[(f.digits() % cfg.p**a == 0).all(axis=0), 0] = 1
         return f
 
     @staticmethod
     def random(side, n, cfg: FieldConfig, a, b, rng: random.Random,
                density: int = 24) -> "FiniteLevelFunction":
         f = FiniteLevelFunction.zero(side, n, cfg, a, b)
-        q = f.ring.q
-        N = f.coset_count
-        for _ in range(min(density, N)):
+        for _ in range(min(density, f.coset_count)):
             idx = tuple(rng.randrange(f.P) for _ in range(f.axes))
-            f.table[idx + (rng.randrange(q),)] += rng.choice((-2, -1, 1, 2))
+            f.table[idx + (rng.randrange(f.ring.q),)] += rng.choice((-2, -1, 1, 2))
         return f
 
     # -- structure -----------------------------------------------------------
@@ -262,50 +266,52 @@ class FiniteLevelFunction:
                                    self.b, self.table.copy(), self.den, self.spectator)
 
     def canonical(self):
-        ring = self.ring
-        folded = ring.fold(self.table)
-        arr, den = ring.normalize(folded, self.den)
+        arr, den = self.ring.normalize(self.ring.fold(self.table), self.den)
         return (self.side, self.n, self.a, self.b, den, arr.tobytes(), arr.shape)
 
     def equals(self, other: "FiniteLevelFunction") -> bool:
         return self.canonical() == other.canonical()
 
-    def coset_value(self, idx) -> CycNumber:
-        return CycNumber(self.ring, self.table[tuple(idx)], self.den)
+    def digits(self, shift=None) -> np.ndarray:
+        """Coset digits k, shape (axes, P, ..., P), for representatives k p^-a;
+        shift adds full periods shift_t * P (representative-independence checks)."""
+        k = np.indices((self.P,) * self.axes)
+        if shift is not None:
+            k += self.P * np.asarray(shift).reshape((-1,) + (1,) * self.axes)
+        return k
 
-    def coordinates(self, idx, shift=None):
-        """Exact coordinates of the representative of coset idx (optionally
-        shifted by full-period multiples, for representative-independence
-        checks)."""
-        pa = Fraction(1, self.p**self.a)
-        out = []
-        for t, k in enumerate(idx):
-            s = 0 if shift is None else shift[t]
-            out.append((k + s * self.P) * pa)
-        return out
-
-    def q_of(self, coords) -> Fraction:
-        """q restricted to the block coordinates: c.b or sum of norms."""
-        m = self.m
+    def q_exponents(self, t, shift=None) -> np.ndarray:
+        """Exponent grid of psi(t q(x)), q = c.b or the sum of norms: x = k p^-a
+        gives q(x) = Q(k) / p^(2a), Q an integer form, and for t = p^v w the
+        exponent Q w p^(mc - 2a + v) mod p^mc, constant on cosets only when
+        v >= a - b (ConductorExceeded otherwise)."""
+        t = Fraction(t)
+        if t != 0 and (v := _frac_val(t, self.p)) < self.a - self.b:
+            raise ConductorExceeded(
+                f"n(t) with val(t) = {v} is not defined on grid ({self.a},{self.b})"
+            )
+        k, m, q = self.digits(shift), self.m, self.ring.q
         if self.side == "gl":
-            bs, cs = coords[:m], coords[m:]
-            return sum((bi * ci for bi, ci in zip(bs, cs)), Fraction(0))
-        acc = Fraction(0)
-        for i in range(m):
-            x, y = coords[2 * i], coords[2 * i + 1]
-            acc += x * x - self.u * y * y
-        return acc
+            Q = (k[:m] * k[m:]).sum(axis=0)
+        else:
+            Q = (k[0::2] ** 2 - self.u * k[1::2] ** 2).sum(axis=0)
+        return Q % q * psi_exponent_fraction(t / self.p ** (2 * self.a), self.p, self.mc) % q
 
     # -- operators -------------------------------------------------------------
 
-    def pointwise_psi(self, phase, shift=None) -> "FiniteLevelFunction":
-        """Multiply by psi(phase(coords)); phase maps coordinates to Fraction."""
+    def pointwise_psi(self, exponents) -> "FiniteLevelFunction":
+        """Multiply coset k by zeta^exponents[k] (grids from q_exponents and
+        modulation_for_translation): rolls the rows of each distinct exponent,
+        at most P of them, at once."""
+        grid = (self.P,) * self.axes
+        if np.shape(exponents) != grid:
+            raise ValueError(f"exponent grid of shape {np.shape(exponents)}, not {grid}")
+        exponents = np.asarray(exponents) % self.ring.q
         out = self.copy()
-        q = self.ring.q
-        for idx in np.ndindex(*((self.P,) * self.axes)):
-            e = psi_exponent_fraction(phase(self.coordinates(idx, shift)), self.p, self.mc)
+        for e in np.unique(exponents):
             if e:
-                out.table[idx] = np.roll(self.table[idx], e)
+                rows = exponents == e
+                out.table[rows] = np.roll(self.table[rows], e, axis=-1)
         return out
 
     def reflect(self) -> "FiniteLevelFunction":
@@ -323,86 +329,89 @@ class FiniteLevelFunction:
         return out
 
 
-def _axis_kernel_exponents(f: FiniteLevelFunction, axis: int, kernel_shift: int,
-                           kernel_sign: int = 1):
-    """E(k, l) table for the 1-dim transform along one axis."""
-    p, P, mc = f.p, f.P, f.mc
-    if f.side == "gl":
-        alpha = 1
-    else:
-        alpha = 2 if axis % 2 == 0 else (-2 * f.u)
-    scale = p ** (mc - (f.a + f.b) + kernel_shift)
-    q = p**mc
-    ks = np.arange(P)
-    E = (kernel_sign * alpha * scale * np.outer(ks, ks)) % q
-    return E
+def _axis_dft(src: np.ndarray, out: np.ndarray, spare: np.ndarray, p: int, L: int,
+              c: int, q: int) -> np.ndarray:
+    """out[l] = sum_k zeta^(c k l) src[k] along axis 0 (zeta^(c p^L) = 1; axis 1
+    holds the coefficients, where zeta^e shifts by e), as a radix-p Stockham
+    transform: after stage s, rows l G + i (G = p^(L-s)) hold the order-p^s
+    transform of src[i + G k], y[(j + t h) G + i] = sum_r zeta^(c G r (j + t h))
+    x[(j p + r) G + i] with h = p^(s-1), p^(L+1) row adds in blocks of G.
+    Stages alternate between out and spare; returns the one holding the result."""
+    P = p**L
+    if L == 0:
+        out[...] = src
+        return out
+    for s in range(L):
+        h, G = p**s, P // p ** (s + 1)
+        for j in range(h):
+            for t in range(p):
+                acc = out[(j + t * h) * G:(j + t * h + 1) * G]
+                acc[...] = src[j * p * G:(j * p + 1) * G]
+                for r in range(1, p):
+                    block = src[(j * p + r) * G:(j * p + r + 1) * G]
+                    e = c * G * r * (j + t * h) % q
+                    acc[:, e:] += block[:, :q - e]
+                    acc[:, :e] += block[:, q - e:]
+        src, out = out, (spare if s == 0 else src)
+    return src
 
 
 def partial_fourier(f: FiniteLevelFunction, kernel_shift: int = 0,
                     kernel_sign: int = 1) -> FiniteLevelFunction:
     """The partial Fourier transform; output lives on the dual grid (b, a).
 
-    kernel_shift simulates a character of different conductor (test hook);
-    kernel_sign = -1 gives the inverse transform; the autodual normalization
-    contributes p^-b per F-axis.
+    kernel_shift >= 0 simulates a character of different conductor (test
+    hook); kernel_sign = -1 gives the inverse transform; the autodual
+    normalization contributes p^-b per F-axis.  Each axis transforms by
+    zeta^(c k l), c = +-alpha p^(2 + kernel_shift) with the axis twist alpha,
+    in a + b radix-p stages of p P block adds (_axis_dft; the direct sum
+    takes P^2) between the output and one scratch table.  Coefficients grow
+    by up to P per axis: CoefficientOverflow where that could pass int64.
     """
-    if f.mc < f.a + f.b:
-        raise ConductorExceeded("grid finer than the character conductor")
+    if kernel_shift < 0:
+        raise ConductorExceeded("kernel character coarser than the grid")
+    p, P, L, q = f.p, f.P, f.a + f.b, f.ring.q
+    bufs = [np.empty(f.table.size, dtype=np.int64) for _ in range(2)]
     table = f.table
-    q = f.ring.q
-    P = f.P
     for axis in range(f.axes):
-        E = _axis_kernel_exponents(f, axis, kernel_shift, kernel_sign)
-        work = np.moveaxis(table, axis, 0)
-        out = np.zeros_like(work)
-        for l in range(P):
-            acc = out[l]
-            for k in range(P):
-                block = work[k]
-                e = int(E[k, l])
-                if e:
-                    acc += np.roll(block, e, axis=-1)
-                else:
-                    acc += block
-        table = np.moveaxis(out, 0, axis)
+        _headroom(P * _magnitude(table))
+        alpha = 1 if f.side == "gl" else (2 if axis % 2 == 0 else -2 * f.u)
+        c = kernel_sign * alpha * p ** (2 + kernel_shift)
+        src = np.moveaxis(table, (axis, -1), (0, 1))
+        out, spare = (buf.reshape(src.shape) for buf in bufs[::-1])
+        res = _axis_dft(src, out, spare, p, L, c, q)
+        if res is out:
+            bufs.reverse()
+        table = np.moveaxis(res, (0, 1), (axis, -1))
     if f.side == "gl":
         m = f.m
-        perm = list(range(m, 2 * m)) + list(range(m)) + [2 * m]
-        table = np.transpose(table, perm)
+        table = np.transpose(table, list(range(m, 2 * m)) + list(range(m)) + [2 * m])
     den = f.den + f.axes * f.b
-    out_f = FiniteLevelFunction(f.side, f.n, f.p, f.u, f.b, f.a, table, den, f.spectator)
-    return out_f
+    return FiniteLevelFunction(f.side, f.n, f.p, f.u, f.b, f.a, table, den, f.spectator)
 
 
 def weil_apply(word, f: FiniteLevelFunction, fourier_scale: int = 0) -> FiniteLevelFunction:
     """Apply a word of SL_2 generators, left to right.
 
-    Generators: ("n", t) acts by the phase psi(t * q(x)); "w" applies the
-    partial Fourier transform with the inverse kernel orientation (the pair
-    (psi(+tq), inverse kernel) is the assignment that satisfies the SL_2
-    relations as a homomorphism; the forward orientation pairs with
+    Generators: ("n", t) acts by the phase psi(t * q(x)) (q_exponents); "w"
+    applies the partial Fourier transform with the inverse kernel orientation
+    (the pair (psi(+tq), inverse kernel) is the assignment that satisfies the
+    SL_2 relations as a homomorphism; the forward orientation pairs with
     psi(-tq) instead, and both differ only by the harmless outer twist).
-    t must satisfy val(t) >= a - b so the phase is constant on grid cosets
-    (ConductorExceeded otherwise).
-    fourier_scale (test hook) multiplies every "w" output by zeta^scale.
+    val(t) >= a - b keeps the phase constant on cosets (ConductorExceeded
+    otherwise).  fourier_scale (test hook) multiplies every "w" output by zeta^scale.
     """
     cur = f
     for gen in word:
         if gen == "w":
             cur = partial_fourier(cur, kernel_sign=-1)
             if fourier_scale:
-                nxt = cur.copy()
-                nxt.table = np.roll(cur.table, fourier_scale, axis=-1)
-                cur = nxt
+                cur.table = np.roll(cur.table, fourier_scale, axis=-1)
         else:
             tag, t = gen
-            assert tag == "n"
-            t = Fraction(t)
-            if t != 0 and (tval := _frac_val(t, cur.p)) < cur.a - cur.b:
-                raise ConductorExceeded(
-                    f"n(t) with val(t) = {tval} is not defined on grid ({cur.a},{cur.b})"
-                )
-            cur = cur.pointwise_psi(lambda coords, tt=t: tt * cur.q_of(coords))
+            if tag != "n":
+                raise ValueError(f"unknown SL_2 generator {gen!r}")
+            cur = cur.pointwise_psi(cur.q_exponents(t))
     return cur
 
 
@@ -472,32 +481,22 @@ def sl2_relation_check(cfg: FieldConfig, n: int, level, trials: int, seed,
 
 
 def plancherel_sum(f: FiniteLevelFunction) -> CycNumber:
-    """Integral of f * conj(f) over the grid (with coset volumes)."""
-    ring = f.ring
-    total = ring.zero()
-    vol_den = f.axes * f.b  # vol of each p^b M coset is p^(-b) per axis
-    for idx in np.ndindex(*((f.P,) * f.axes)):
-        v = f.coset_value(idx)
-        total = total + v * v.conj()
-    return CycNumber(ring, total.coeffs, total.den + vol_den)
+    """Integral of f * conj(f) over the grid (coset volume p^-b per axis):
+    coefficient k sums x_i x_(i-k) over every coset's coefficients x."""
+    T = f.table.reshape(-1, f.ring.q)
+    _headroom(T.size * _magnitude(T) ** 2)
+    total = [int((T * np.roll(T, k, axis=1)).sum()) for k in range(f.ring.q)]
+    return CycNumber(f.ring, np.array(total), 2 * f.den + f.axes * f.b)
 
 
-def modulation_for_translation(f: FiniteLevelFunction, v):
-    """The phase x -> psi(<v, x>) matching F(T_v f) = phase * F f."""
-    m = f.m
-    pa = Fraction(1, f.p**f.a)
-
-    def phase(coords):
-        if f.side == "gl":
-            bs, cs = coords[:m], coords[m:]
-            vb = [v[t] * pa for t in range(m)]
-            vc = [v[m + t] * pa for t in range(m)]
-            return sum((vc[i] * bs[i] + cs[i] * vb[i] for i in range(m)), Fraction(0))
-        acc = Fraction(0)
-        for i in range(m):
-            vx, vy = v[2 * i] * pa, v[2 * i + 1] * pa
-            x, y = coords[2 * i], coords[2 * i + 1]
-            acc += 2 * (vx * x - f.u * vy * y)
-        return acc
-
-    return phase
+def modulation_for_translation(f: FiniteLevelFunction, v) -> np.ndarray:
+    """Exponent grid of x -> psi(<v, x>) on the grid of F f, matching
+    F(T_v f) = psi(<v, .>) * F f: with v p^-a and x = k p^-b the pairing is
+    S(v, k) / p^(a+b) for an integer form S."""
+    k, m, q = f.digits(), f.m, f.ring.q
+    v = np.asarray(v).reshape((-1,) + (1,) * f.axes)
+    if f.side == "gl":
+        S = (v[m:] * k[:m] + k[m:] * v[:m]).sum(axis=0)
+    else:
+        S = 2 * (v[0::2] * k[0::2] - f.u * v[1::2] * k[1::2]).sum(axis=0)
+    return S % q * f.p ** (f.mc - f.a - f.b) % q

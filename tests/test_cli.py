@@ -188,6 +188,12 @@ def test_fourier_check_bad_prime(capsys):
     assert code == 2
 
 
+def test_fourier_check_negative_level(capsys):
+    code, _, err = run_cli(capsys, "fourier-check", "--p", "3", "--n", "2", "--level", "-1")
+    assert code == 2
+    assert "level must be non-negative" in err
+
+
 def test_lemma1_cmd(tmp_path, capsys):
     out = tmp_path / "lemma1.json"
     code, _, _ = run_cli(capsys, "lemma1", "--n", "2", "--p", "3", "--samples", "10",

@@ -15,7 +15,7 @@ from fllab.lattice import (
     quotient_reps,
     stabilizes,
 )
-from fllab.linalg import Matrix
+from fllab.linalg import Matrix, val_det
 from fllab.padic import FieldConfig
 
 CFG3 = FieldConfig(3, -1)
@@ -23,6 +23,12 @@ CFG3 = FieldConfig(3, -1)
 
 def F(x):
     return CFG3.scalar(x)
+
+
+def _check_val_det(lattices):
+    # the diagonal sum of the canonical basis against the elimination
+    for L in lattices:
+        assert L.val_det() == val_det(L.basis)
 
 
 def test_contains_examples():
@@ -88,6 +94,7 @@ def test_enumerate_stable_between_examples():
     # quotient (Z/3)^2 with scalar T: 1 + (p+1) + 1 = 6 stable lattices
     got = enumerate_stable_between(sub, std, Matrix.identity(CFG3, 2))
     assert len(got) == 6
+    _check_val_det(got)
     # distinct eigenvalues mod 3: only 0, two eigenlines, full
     T = Matrix.from_rows(CFG3, [[1, 0], [0, 2]])
     got = enumerate_stable_between(sub, std, T)
@@ -108,10 +115,9 @@ def test_enumeration_matches_naive_filter():
         if not stabilizes(T, L1):
             continue
         fast = enumerate_stable_between(L0, L1, T)
-        naive = [
-            L for L in enumerate_all_between(L0, L1)
-            if stabilizes(T, L)
-        ]
+        box = enumerate_all_between(L0, L1)
+        _check_val_det(box)
+        naive = [L for L in box if stabilizes(T, L)]
         assert [L.key() for L in fast] == [L.key() for L in naive]
         done += 1
 
@@ -133,10 +139,9 @@ def test_enumerate_selfdual_rank2_matches_filter():
     T = Matrix.identity(CFG3, 2, quad=True)
     got = enumerate_selfdual_stable(T, H)
     std = Lattice.standard(CFG3, 2, kind="E")
-    naive = [
-        L for L in enumerate_all_between(std, std.dual(H))
-        if L.dual(H) == L and stabilizes(T, L)
-    ]
+    box = enumerate_all_between(std, std.dual(H))
+    _check_val_det(box)
+    naive = [L for L in box if L.dual(H) == L and stabilizes(T, L)]
     assert [L.key() for L in got] == [L.key() for L in naive]
     for L in got:
         assert L.val_det() == -2  # unramified: [L : O_E^2] is half of [H^-1 O_E^2 : O_E^2]
@@ -197,10 +202,9 @@ def _walk_matches_box(T, H):
     # the pruned walk (one vector per line, integral lattices only) against the
     # box filtered by the definitions; returns the self-dual lattices
     std = Lattice.standard(H.cfg, H.rows, kind="E")
-    integral = [
-        L for L in enumerate_all_between(std, std.dual(H))
-        if stabilizes(T, L) and L.gram(H).is_integral()
-    ]
+    box = enumerate_all_between(std, std.dual(H))
+    _check_val_det(box)
+    integral = [L for L in box if stabilizes(T, L) and L.gram(H).is_integral()]
     walk = enumerate_stable_between(std, std.dual(H), T, form=H)
     assert [L.key() for L in walk] == [L.key() for L in integral]
     got = enumerate_selfdual_stable(T, H)

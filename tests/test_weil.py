@@ -4,15 +4,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fllab.errors import ConductorExceeded
+from fllab.errors import CoefficientOverflow, ConductorExceeded
 from fllab.padic import FieldConfig
 from fllab.weil import (
     CharacterRing,
+    CycNumber,
     FiniteLevelFunction,
     fourier_order_four_check,
     modulation_for_translation,
     partial_fourier,
     plancherel_sum,
+    psi_exponent_fraction,
     psi_value,
     sl2_relation_check,
     unit_selfdual_check,
@@ -143,10 +145,10 @@ def test_representative_independence():
     rng = random.Random(37)
     f = FiniteLevelFunction.random("u", 2, CFG3, 1, 1, rng)
     t = Fraction(1)
-    base = f.pointwise_psi(lambda coords: t * f.q_of(coords))
+    base = f.pointwise_psi(f.q_exponents(t))
     for _ in range(5):
         shift = [rng.randrange(3) for _ in range(f.axes)]
-        alt = f.pointwise_psi(lambda coords: t * f.q_of(coords), shift=shift)
+        alt = f.pointwise_psi(f.q_exponents(t, shift=shift))
         assert base.equals(alt)
 
 
@@ -161,3 +163,132 @@ def test_table_shape_invariant():
         f = FiniteLevelFunction.zero(side, n, CFG3, 1, 1)
         dim = 2 * (n - 1)
         assert f.coset_count == (3 ** (1 + 1)) ** dim
+
+
+def _direct_fourier(f, kernel_shift, kernel_sign):
+    # the definition: out[l] = sum_k zeta^(c k l) x[k] along each axis, P^2 rolls
+    p, P, q = f.p, f.P, f.ring.q
+    table = f.table
+    for axis in range(f.axes):
+        alpha = 1 if f.side == "gl" else (2 if axis % 2 == 0 else -2 * f.u)
+        c = kernel_sign * alpha * p ** (2 + kernel_shift)
+        work = np.moveaxis(table, axis, 0)
+        out = np.zeros_like(work)
+        for l in range(P):
+            for k in range(P):
+                out[l] += np.roll(work[k], c * k * l % q, axis=-1)
+        table = np.moveaxis(out, 0, axis)
+    if f.side == "gl":
+        m = f.m
+        table = np.transpose(table, list(range(m, 2 * m)) + list(range(m)) + [2 * m])
+    return table, f.den + f.axes * f.b
+
+
+@pytest.mark.parametrize("n,cfg,level", [
+    (2, CFG3, (1, 1)), (2, CFG3, (1, 0)), (2, CFG3, (2, 1)),
+    (2, CFG5, (1, 1)), (2, CFG5, (1, 0)),
+    (3, CFG3, (1, 1)), (3, CFG3, (1, 0)),
+])
+def test_partial_fourier_matches_direct_sum(n, cfg, level):
+    rng = random.Random(41)
+    for side in ("u", "gl"):
+        f = FiniteLevelFunction.random(side, n, cfg, *level, rng, density=60)
+        f.den = 1
+        before = f.table.copy()
+        for shift in (0, 1):
+            for sign in (1, -1):
+                got = partial_fourier(f, kernel_shift=shift, kernel_sign=sign)
+                want, den = _direct_fourier(f, shift, sign)
+                assert np.array_equal(got.table, want)
+                assert (got.den, got.a, got.b) == (den, level[1], level[0])
+        assert np.array_equal(f.table, before)
+
+
+def _fraction_coords(f, idx, shift):
+    return [Fraction(k + s * f.P, f.p ** f.a) for k, s in zip(idx, shift)]
+
+
+def _q_fraction(f, x):
+    m = f.m
+    if f.side == "gl":
+        return sum((b * c for b, c in zip(x[:m], x[m:])), Fraction(0))
+    return sum((x[2 * i] ** 2 - f.u * x[2 * i + 1] ** 2 for i in range(m)), Fraction(0))
+
+
+def test_q_exponents_match_fraction_reference():
+    rng = random.Random(43)
+    for side, n, cfg, level, ts in [
+        ("u", 2, CFG3, (1, 1), (1, 3, -2, Fraction(2, 5))),
+        ("gl", 2, CFG3, (1, 1), (1, -1, Fraction(9, 7))),
+        ("u", 2, CFG5, (1, 1), (1, Fraction(3, 2))),
+        ("gl", 2, CFG3, (0, 1), (Fraction(1, 3), Fraction(-2, 3))),
+        ("u", 2, CFG3, (1, 2), (Fraction(1, 3), 1)),
+        ("gl", 3, CFG3, (1, 0), (3, Fraction(-9, 2))),
+    ]:
+        f = FiniteLevelFunction.zero(side, n, cfg, *level)
+        for t in ts:
+            for shift in ([0] * f.axes, [rng.randrange(-2, 3) for _ in range(f.axes)]):
+                grid = f.q_exponents(t, shift=shift)
+                for idx in np.ndindex(grid.shape):
+                    x = _fraction_coords(f, idx, shift)
+                    want = psi_exponent_fraction(Fraction(t) * _q_fraction(f, x), f.p, f.mc)
+                    assert grid[idx] == want
+    with pytest.raises(ConductorExceeded):
+        FiniteLevelFunction.zero("u", 2, CFG3, 1, 1).q_exponents(Fraction(1, 3))
+
+
+def test_modulation_grid_matches_fraction_reference():
+    rng = random.Random(47)
+    for side, n, level in [("u", 2, (1, 1)), ("gl", 2, (1, 1)), ("gl", 2, (2, 1)),
+                           ("u", 3, (1, 0))]:
+        f = FiniteLevelFunction.zero(side, n, CFG3, *level)
+        v = [rng.randrange(f.P) for _ in range(f.axes)]
+        grid = modulation_for_translation(f, v)
+        vs = [Fraction(vt, f.p ** f.a) for vt in v]
+        m = f.m
+        for idx in np.ndindex(grid.shape):
+            x = [Fraction(k, f.p ** f.b) for k in idx]  # the grid of F f
+            if side == "gl":
+                phase = sum(vs[m + i] * x[i] + x[m + i] * vs[i] for i in range(m))
+            else:
+                phase = sum(2 * (vs[2 * i] * x[2 * i] - f.u * vs[2 * i + 1] * x[2 * i + 1])
+                            for i in range(m))
+            assert grid[idx] == psi_exponent_fraction(Fraction(phase), f.p, f.mc)
+
+
+def test_weil_checks_n3():
+    assert sl2_relation_check(CFG3, 3, (1, 1), 1, seed=53)
+    assert fourier_order_four_check(CFG3, 3, (1, 1), 1, seed=54)
+
+
+def test_coefficient_overflow_is_typed():
+    f = FiniteLevelFunction.zero("gl", 2, CFG3, 1, 1)
+    f.table[0, :, 0] = 2**61  # the second axis would sum nine of them
+    with pytest.raises(CoefficientOverflow):
+        partial_fourier(f)
+    ring = CharacterRing(3, 2)
+    big = CycNumber(ring, ring.monomial(0).coeffs * 2**62)
+    with pytest.raises(CoefficientOverflow):
+        big + big
+    with pytest.raises(CoefficientOverflow):
+        big + ring.monomial(0, den=1)  # rescaling big by p
+    with pytest.raises(CoefficientOverflow):
+        big * 2
+    with pytest.raises(CoefficientOverflow):
+        big * (ring.one() + ring.one())
+    assert np.array_equal((big * ring.one()).coeffs, big.coeffs)
+    assert big.canonical()[0][0] == 2**62  # folding only adds the high coefficients
+
+
+def test_user_errors_are_typed():
+    with pytest.raises(ValueError, match="non-negative"):
+        FiniteLevelFunction.zero("u", 2, CFG3, -1, -1)
+    f = FiniteLevelFunction.zero("u", 2, CFG3, 1, 1)
+    with pytest.raises(ValueError):
+        FiniteLevelFunction("x", 2, 3, -1, 1, 1, f.table)
+    with pytest.raises(ValueError):
+        FiniteLevelFunction("u", 2, 3, -1, 1, 0, f.table)
+    with pytest.raises(ValueError):
+        weil_apply([("m", 1)], f)
+    with pytest.raises(ValueError):
+        f.pointwise_psi(np.zeros(3, dtype=np.int64))
