@@ -51,7 +51,7 @@ DEFAULT_PRECISION = 48
 
 def field_config(args: argparse.Namespace) -> FieldConfig:
     u = args.u if args.u is not None else smallest_nonresidue(args.p)
-    return FieldConfig(args.p, u, args.precision)
+    return FieldConfig(args.p, u, getattr(args, "precision", DEFAULT_PRECISION))
 
 
 def _child_rng(seed: int, index: int) -> random.Random:
@@ -179,6 +179,8 @@ def load_matrix(path: str, precision: int):
     cfg = FieldConfig(p, u, precision)
     n = int(obj["n"])
     side = obj.get("side", "gl")
+    if side not in ("u", "gl"):
+        raise ValueError(f"side must be u or gl, not {side!r}")
     entries = obj["entries"]
     if len(entries) != n or any(len(row) != n for row in entries):
         raise ValueError("entries must be an n x n array of strings")
@@ -268,7 +270,7 @@ def cmd_fourier_check(args: argparse.Namespace) -> int:
     cfg = field_config(args)
     level = (args.level, args.level)
     results = {
-        "unit_selfdual": unit_selfdual_check(cfg, args.n),
+        "unit_selfdual": unit_selfdual_check(cfg, args.n, level),
         "order_four": fourier_order_four_check(cfg, args.n, level, args.trials, args.seed),
         "sl2_relations": sl2_relation_check(cfg, args.n, level, args.trials, args.seed + 1),
     }
@@ -329,46 +331,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_samples=True):
-        sp.add_argument("--p", type=int, default=3)
-        sp.add_argument("--u", type=int, default=None)
-        sp.add_argument("--n", type=int, default=2)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--precision", type=int, default=None)
-        sp.add_argument("--explosion-bound", type=int, default=12, dest="explosion_bound")
-        sp.add_argument("--height", type=int, default=50)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--csv", default=None)
-        if with_samples:
-            sp.add_argument("--samples", type=int, default=100)
+    # each subcommand registers only the options it reads; --out and --csv are paths
+    ints = {"--p": 3, "--u": None, "--n": 2, "--seed": 0, "--precision": None,
+            "--explosion-bound": 12, "--height": 50, "--samples": 100}
+    campaign = (*ints, "--out", "--csv")
+
+    def add_common(sp, *flags):
+        for flag in flags:
+            sp.add_argument(flag, type=int if flag in ints else str, default=ints.get(flag))
 
     sp = sub.add_parser("verify", help="randomized matching campaign")
-    add_common(sp)
+    add_common(sp, *campaign)
     sp.add_argument("--vanishing-fraction", type=float, default=0.2,
                     dest="vanishing_fraction")
 
     sp = sub.add_parser("orbit", help="one orbital integral from a matrix file")
-    add_common(sp, with_samples=False)
+    add_common(sp, "--precision", "--explosion-bound")
     sp.add_argument("--side", choices=("u", "gl"), required=True)
     sp.add_argument("--input", required=True)
     sp.add_argument("--oracle", action="store_true")
 
     sp = sub.add_parser("invariants", help="invariant tuple of a matrix file")
-    add_common(sp, with_samples=False)
+    add_common(sp, "--precision")
     sp.add_argument("--input", required=True)
 
     sp = sub.add_parser("represent", help="representative matrix from invariants")
-    add_common(sp, with_samples=False)
+    add_common(sp, "--p", "--u", "--precision")
     sp.add_argument("--side", choices=("u", "gl"), required=True)
     sp.add_argument("--input", required=True)
 
     sp = sub.add_parser("fourier-check", help="transform and SL2-relation identities")
-    add_common(sp, with_samples=False)
+    add_common(sp, "--p", "--u", "--n", "--seed")
     sp.add_argument("--level", type=int, default=1)
     sp.add_argument("--trials", type=int, default=10)
 
     sp = sub.add_parser("lemma1", help="descent identities at unit q")
-    add_common(sp)
+    add_common(sp, *campaign)
     return parser
 
 
@@ -391,8 +389,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        ns.precision = _resolve_precision(ns)
-        field_config(ns)  # validate p, u, precision before any work
+        # validate p, u and precision, where registered, before any work
+        if "precision" in ns:
+            ns.precision = _resolve_precision(ns)
+        if "p" in ns:
+            field_config(ns)
     except (ValueError, FLLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

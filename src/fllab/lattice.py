@@ -1,13 +1,19 @@
 """Canonical lattices over O_F and O_E and stable-lattice enumeration.
 
 A lattice is stored by its canonical triangular basis (columns generate,
-exact entries), so equality of lattices is bit-equality of bases.  The
-T-stable lattices between two bounds are found by a walk up the poset of
-stable modules: each stable L > M holds a closure M + O[T] v of some v in
-the p-layer p^-1 M, and it only depends on the residue-field line of v.  For
-a hermitian form the walk keeps to integral lattices (L <= L^dual), which
-reach every self-dual one, as all lattices below an integral one are
-integral.  A structurally independent box enumeration backs the oracles.
+exact entries), so equality of lattices is bit-equality of bases.  The walk
+finds the T-stable lattices O^m <= L <= H^-1 O^m, for integral T and H with
+sigma(T)^T H = H T, by going up the poset of stable modules: each stable
+L > M holds a closure M + O[T] v of some v in the p-layer of M, and it only
+depends on the residue-field line of v.  Over O_E it keeps to the lattices
+integral for h(v, w) = sigma(v)^T H w (L <= L^dual), which reach every
+self-dual one, as all lattices below an integral one are integral.
+
+For M with basis B the p-layer is p^-1 M /\\ H^-1 O^m over O_F, and
+p^-1 M /\\ M^dual over O_E, as M^dual lies in (O^m)^dual = H^-1 O^m.  B x / p
+is in it iff K x = 0 mod p, for K = H B, resp. the Gram matrix sigma(B)^T H B,
+so the layer is the kernel of K on k^m: the walk's only per-layer algebra.
+A structurally independent box enumeration backs the oracles.
 
 Distinct calls are independent and freely parallelizable.
 """
@@ -15,6 +21,7 @@ Distinct calls are independent and freely parallelizable.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .errors import ExplosionGuard, ZeroModule
 from .linalg import Matrix, _dot, hnf_basis, inverse, val_det
@@ -137,17 +144,10 @@ class Lattice:
         """Gram matrix of the pairing of dual() on the basis."""
         return self._pairing_rows(form) * self.basis
 
-    def is_selfdual(self, form: Matrix | None = None) -> bool:
+    def is_selfdual(self) -> bool:
         """L = L^dual: the Gram matrix is integral (L <= L^dual) and unimodular."""
-        G = self.gram(form)
+        G = self.gram()
         return G.is_integral() and val_det(G) == 0
-
-    # -- lattice operations -----------------------------------------------
-
-    def sum(self, other: "Lattice") -> "Lattice":
-        cols = [self.basis.col(j) for j in range(self.rank)]
-        cols += [other.basis.col(j) for j in range(other.rank)]
-        return Lattice.from_generators(cols, self.cfg, self.kind)
 
 
 class ModuleBasis:
@@ -187,88 +187,84 @@ def stabilizes(T: Matrix, L: Lattice) -> bool:
     return all(L.contains(T.apply(L.basis.col(j))) for j in range(L.rank))
 
 
-def quotient_reps(sub: Lattice, layer: Lattice):
-    """One vector per line of layer/sub, a vector space over the residue field k
-    (k_F, or k_E over O_E) when layer is a p-layer: sub <= layer <= p^-1 sub.
+def quotient_reps(M: Lattice, K: Matrix):
+    """One vector B x / p per line of the kernel of K mod p on k^m (k = k_F, or
+    k_E over O_E), for M with basis B and an integral K.
 
-    Against layer's basis b_j, sub has canonical diagonal 1 or p.  The vectors
-    sum t_j b_j, t_j in k on the p columns, are one per coset and, as
-    p.layer <= sub, add and scale like the quotient; those whose leading
-    nonzero digit is 1 are one per line, (Q^d - 1)/(Q - 1) for dimension d and
-    Q = |k|.  The walk needs no more: M + O[T] v only depends on the line of v.
+    With K = H B over O_F these are the lines of the p-layer
+    (p^-1 M /\\ H^-1 O^m) / M, as H B x / p is integral iff K x = 0 mod p; with
+    the Gram matrix K = sigma(B)^T H B over O_E, of (p^-1 M /\\ M^dual) / M,
+    which holds the rest of the layer as M^dual <= H^-1 O^m.  B x / p depends
+    on x only up to M, and the x with leading nonzero digit 1 are one per line
+    of k^m; those whose integer residues (pairs a + b w, w^2 = u, over k_E)
+    pass K x = 0 are one per line of the kernel, (Q^d - 1)/(Q - 1) of them for
+    dimension d and Q = |k|.  The walk needs no more: M + O[T] v only depends
+    on the line of v.
     """
-    cfg, quad = sub.cfg, sub.kind == "E"
-    rel_cols = [layer.coords(sub.basis.col(j)) for j in range(sub.rank)]
-    mat, pivots = hnf_basis(rel_cols, cfg, quad=quad)
-    assert len(pivots) == sub.rank
-    exps = [(mat[i, j].a if quad else mat[i, j]).valuation() for j, i in enumerate(pivots)]
-    if max(exps) > 1:
-        raise ValueError("layer is not a p-layer of sub")
-    free = [layer.basis.col(j) for j, e in enumerate(exps) if e == 1]
-    r = range(cfg.p)
-    digits = [cfg.quad(x, y) for x in r for y in r] if quad else [cfg.scalar(x) for x in r]
+    cfg, m, quad = M.cfg, M.rank, M.kind == "E"
+    p, u = cfg.p, cfg.u
+    parts = (lambda x: (x.a, x.b)) if quad else (lambda x: (x, cfg.zero()))
+    res = [[tuple(y.lift_scaled(0, 1) for y in parts(x)) for x in row] for row in K.entries]
+    digits = list(product(range(p), range(p) if quad else (0,)))
+
+    def in_kernel(x):
+        for row in res:
+            a = sum(r * s + u * rw * sw for (r, rw), (s, sw) in zip(row, x))
+            b = sum(r * sw + rw * s for (r, rw), (s, sw) in zip(row, x))
+            if a % p or b % p:
+                return False
+        return True
+
     out = []
-    for lead, col in enumerate(free):
-        vecs = [col]
-        for b in free[lead + 1:]:
-            vecs = [[x + t * y for x, y in zip(v, b)] for v in vecs for t in digits]
-        out += vecs
+    for lead in range(m):
+        for rest in product(digits, repeat=m - 1 - lead):
+            x = [(0, 0)] * lead + [(1, 0)] + list(rest)
+            if in_kernel(x):
+                coeffs = [cfg.quad(Fraction(a, p), Fraction(b, p)) if quad
+                          else cfg.scalar(Fraction(a, p)) for a, b in x]
+                out.append([_dot(row, coeffs) for row in M.basis.entries])
     return out
 
 
-def quotient_size_exp(sub: Lattice, sup: Lattice) -> int:
-    """e with [sup : sub] = p^e."""
-    return sub.val_det() - sup.val_det()
+def enumerate_stable_between(T: Matrix, H: Matrix, bound_exp: int = 12):
+    """All lattices L with O^m <= L <= H^-1 O^m and T L <= L, complete,
+    duplicate-free and sorted by key; over O_E (T with E entries) only the ones
+    integral for h(v, w) = sigma(v)^T H w (L <= L^dual).
 
-
-def enumerate_stable_between(L0: Lattice, L1: Lattice, T: Matrix, bound_exp: int = 12,
-                             form: Matrix | None = None):
-    """All lattices L with L0 <= L <= L1 and T L <= L, complete, duplicate-free and
-    sorted by key; with a hermitian form H, for which T must be self-adjoint,
-    only the H-integral ones (L <= L^dual(H)).
-
-    Walks up from L0, extending each found M by the closures M + O[T] v of one
-    v per line of its p-layer p^-1 M /\\ L1 (/\\ M^dual(H) with a form).  A
-    wanted L > M meets it outside M, as L <= L1 (and L <= L^dual <= M^dual),
-    in a v whose closure lies in L; with a form the chain up to L stays integral,
-    as N <= L <= L^dual <= N^dual.  A closure is integral iff all h(v, T^k v),
-    k < m, are (v is in M^dual, T is self-adjoint and integral), and the others
-    are dropped.  The walk ends at L1, or at a self-dual M, whose layer is M.
-    ExplosionGuard bounds all of L1/L0, before the walk.
+    T and H must be integral with sigma(T)^T H = H T: then T O^m <= O^m, and
+    H T v = sigma(T)^T H v is integral for H v integral, so both bounds are
+    T-stable.  The walk goes up from O^m, extending each found M by the
+    closures M + O[T] v of one v per line of its p-layer, the kernel of K mod p
+    (see quotient_reps).  A wanted L > M meets that layer outside M, as
+    L <= H^-1 O^m (and L <= L^dual <= M^dual), in a v whose closure lies in L;
+    over O_E the chain up to L stays integral, as N <= L <= L^dual <= N^dual.
+    A closure is integral iff all h(v, T^k v), k < m, are (v is in M^dual, T is
+    self-adjoint and integral), and the others are dropped.  The walk ends
+    where the kernel is 0: K is then unimodular, so M = H^-1 O^m over O_F and
+    M = M^dual, with no integral lattice above it, over O_E.
+    ExplosionGuard bounds all of H^-1 O^m / O^m, before the walk.
     """
-    if not L1.contains_lattice(L0):
-        raise ValueError("L0 must be contained in L1")
-    if not stabilizes(T, L0) or not stabilizes(T, L1):
-        raise ValueError("both bounds must be T-stable")
-    e = quotient_size_exp(L0, L1) * (2 if L0.kind == "E" else 1)
+    if not (T.is_integral() and H.is_integral() and (T.sigma_transpose() * H).agrees(H * T)):
+        raise ValueError("T and H must be integral, with sigma(T)^T H = H T")
+    cfg, m, kind, quad = T.cfg, T.rows, T.kind, T.kind == "E"
+    e = val_det(H) * (2 if quad else 1)  # INF for a singular H
     if e > bound_exp:
         raise ExplosionGuard(f"quotient size p^{e} exceeds p^{bound_exp}")
-    if form is not None and not L0.gram(form).is_integral():
-        return []
-    m, cfg, p = L0.rank, L0.cfg, L0.cfg.scalar(L0.cfg.p)
-    # the layer is the dual of p M^dual + L1^dual (+ sigma(H)^T M); it is M at
-    # M = L1, or where val det M^dual = -val det M - val det H equals val det M
-    top = [list(c) for c in inverse(L1._pairing_rows(None)).transpose().entries]
-    end_vd = L1.val_det() if form is None else Fraction(-val_det(form), 2)
-    found = {L0.key(): L0}
-    frontier = [L0]
+    std = Lattice.standard(cfg, m, kind)
+    found = {std.key(): std}
+    frontier = [std]
     while frontier:
         M = frontier.pop()
-        if M.val_det() == end_vd:
-            continue
-        gens = [[x * p for x in c] for c in inverse(M._pairing_rows(None)).transpose().entries]
-        if form is not None:
-            gens += [[x.sigma() for x in row] for row in M._pairing_rows(form).entries]
         base = [M.basis.col(j) for j in range(m)]
-        for v in quotient_reps(M, Lattice.from_generators(gens + top, cfg, L0.kind).dual()):
+        for v in quotient_reps(M, M.gram(H) if quad else H * M.basis):
             new = [v]
             for _ in range(m - 1):
                 new.append(T.apply(new[-1]))
-            if form is not None:
-                hv = [x.sigma() for x in form.apply(v)]  # h(v, w) = hv . w
+            if quad:
+                hv = [x.sigma() for x in H.apply(v)]  # h(v, w) = hv . w
                 if not all(_dot(hv, w).is_integral() for w in new):
                     continue
-            N = Lattice.from_generators(base + new, cfg, L0.kind)
+            N = Lattice.from_generators(base + new, cfg, kind)
             if N.key() not in found:
                 found[N.key()] = N
                 frontier.append(N)
@@ -281,13 +277,12 @@ def enumerate_selfdual_stable(T: Matrix, H: Matrix, bound_exp: int = 12):
     with [L^dual : L] = 1, i.e. val det L = -val det H / 2.
 
     Empty when H is not integral (no self-dual lattice can contain O_E^m).
-    T must be integral and self-adjoint for h, which makes H^-1 O_E^m T-stable.
+    T must be integral and self-adjoint for h.
     """
     if not H.is_integral():
         return []
-    std = Lattice.standard(H.cfg, H.rows, kind="E")
     half = Fraction(-val_det(H), 2)
-    return [L for L in enumerate_stable_between(std, std.dual(H), T, bound_exp, form=H)
+    return [L for L in enumerate_stable_between(T.to_quad(), H, bound_exp)
             if L.val_det() == half]
 
 
@@ -307,7 +302,7 @@ def enumerate_all_between(L0: Lattice, L1: Lattice, max_quotient_exp: int = 8):
     """
     if not L1.contains_lattice(L0):
         raise ValueError("L0 must be contained in L1")
-    e = quotient_size_exp(L0, L1)
+    e = L0.val_det() - L1.val_det()
     mult = 2 if L0.kind == "E" else 1
     if mult * e > max_quotient_exp:
         raise ExplosionGuard(f"box quotient p^{mult * e} too large")

@@ -51,7 +51,6 @@ from .geometry import (
     transfer_sign,
 )
 from .lattice import (
-    Lattice,
     enumerate_all_between,
     enumerate_selfdual_stable,
     enumerate_stable_between,
@@ -90,8 +89,7 @@ def krylov_lattices(lam, d, chi_p, kind: str, bound_exp: int = 12) -> list:
         return []
     if kind == "E":
         return enumerate_selfdual_stable(C, H, bound_exp)
-    std = Lattice.standard(cfg, m)
-    return enumerate_stable_between(std, std.dual(H), C, bound_exp)
+    return enumerate_stable_between(C, H, bound_exp)
 
 
 def _krylov_value(side: str, lam, d, chi_p, bound_exp: int):

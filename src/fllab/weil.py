@@ -200,6 +200,8 @@ class FiniteLevelFunction:
     def __init__(self, side, n, p, u, a, b, table, den=0, spectator=None):
         if side not in ("u", "gl"):
             raise ValueError(f"side must be u or gl, not {side!r}")
+        if n < 2:
+            raise ValueError("n must be at least 2")
         self.side, self.n, self.p, self.u = side, n, p, u
         self.a, self.b, self.table, self.den = a, b, table, den
         self.spectator = spectator if spectator is not None else SpectatorBox()

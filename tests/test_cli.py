@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import fllab
+from fllab import weil
 from fllab.cli import main
 
 
@@ -192,6 +193,57 @@ def test_fourier_check_negative_level(capsys):
     code, _, err = run_cli(capsys, "fourier-check", "--p", "3", "--n", "2", "--level", "-1")
     assert code == 2
     assert "level must be non-negative" in err
+
+
+def test_fourier_check_level_reaches_unit_check(capsys, monkeypatch):
+    levels = []
+    unit_box = weil.FiniteLevelFunction.unit_box
+
+    def recording(side, n, cfg, a, b):
+        levels.append((a, b))
+        return unit_box(side, n, cfg, a, b)
+
+    monkeypatch.setattr(weil.FiniteLevelFunction, "unit_box", staticmethod(recording))
+    code, out, _ = run_cli(capsys, "fourier-check", "--p", "3", "--n", "2",
+                           "--level", "0", "--trials", "1")
+    assert code == 0
+    assert json.loads(out)["unit_selfdual"] is True
+    assert levels and set(levels) == {(0, 0)}
+
+
+@pytest.mark.parametrize("n", ["1", "0"])
+def test_fourier_check_small_n(capsys, n):
+    code, out, err = run_cli(capsys, "fourier-check", "--p", "3", "--n", n)
+    assert code == 2
+    assert out == ""
+    assert "n must be at least 2" in err
+
+
+def test_subcommands_refuse_options_they_do_not_read(tmp_path, capsys):
+    mat = {"p": 3, "n": 2, "side": "gl", "entries": [["1", "1"], ["9", "0"]]}
+    path = tmp_path / "y.json"
+    path.write_text(json.dumps(mat))
+    for argv in (["orbit", "--side", "gl", "--input", str(path), "--p", "5"],
+                 ["invariants", "--input", str(path), "--explosion-bound", "3"],
+                 ["represent", "--side", "gl", "--input", str(path), "--n", "3"],
+                 ["fourier-check", "--precision", "20"]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+    # precision is still validated where it is read
+    code, _, err = run_cli(capsys, "orbit", "--side", "gl", "--input", str(path),
+                           "--precision", "0")
+    assert code == 2
+    assert "precision must be at least 8 digits" in err
+
+
+def test_matrix_file_unknown_side(tmp_path, capsys):
+    mat = {"p": 3, "n": 2, "side": "hermitian", "entries": [["1", "1"], ["9", "0"]]}
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(mat))
+    code, out, err = run_cli(capsys, "invariants", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert "side must be u or gl" in err
 
 
 def test_lemma1_cmd(tmp_path, capsys):

@@ -65,7 +65,8 @@ def test_dual_inclusion_reversing():
             L = Lattice.from_generators(cols, CFG3)
         except ValueError:
             continue
-        M = L.sum(Lattice.standard(CFG3, 2))
+        M = Lattice.from_generators(
+            [L.basis.col(j) for j in range(2)] + [[F(1), F(0)], [F(0), F(1)]], CFG3)
         assert M.contains_lattice(L)
         assert L.dual().contains_lattice(M.dual())
 
@@ -85,41 +86,75 @@ def test_module_closure_examples():
         module_closure(T, [F(0), F(0)])
 
 
+def _scalar_form(k, m=2):
+    # H = p^k I: the walk runs from O^m to p^-k O^m
+    return Matrix.from_rows(CFG3, [[3 ** k if i == j else 0 for j in range(m)]
+                                   for i in range(m)])
+
+
 def test_enumerate_stable_between_examples():
     std = Lattice.standard(CFG3, 2)
-    sub = std.scaled(1)
-    # L0 = L1: single lattice
-    got = enumerate_stable_between(std, std, Matrix.identity(CFG3, 2))
+    # H = I: the bounds agree, a single lattice
+    got = enumerate_stable_between(Matrix.identity(CFG3, 2), _scalar_form(0))
     assert got == [std]
     # quotient (Z/3)^2 with scalar T: 1 + (p+1) + 1 = 6 stable lattices
-    got = enumerate_stable_between(sub, std, Matrix.identity(CFG3, 2))
+    got = enumerate_stable_between(Matrix.identity(CFG3, 2), _scalar_form(1))
     assert len(got) == 6
+    assert std in got and std.scaled(-1) in got
     _check_val_det(got)
     # distinct eigenvalues mod 3: only 0, two eigenlines, full
     T = Matrix.from_rows(CFG3, [[1, 0], [0, 2]])
-    got = enumerate_stable_between(sub, std, T)
+    got = enumerate_stable_between(T, _scalar_form(1))
     assert len(got) == 4
+
+
+def _naive_stable(T, H):
+    # the box O^m <= L <= H^-1 O^m filtered by T-stability
+    std = Lattice.standard(CFG3, H.rows)
+    box = enumerate_all_between(std, std.dual(H))
+    _check_val_det(box)
+    return [L for L in box if stabilizes(T, L)]
 
 
 def test_enumeration_matches_naive_filter():
     rng = random.Random(37)
+    # symmetric T against H = p^k I
+    for _ in range(10):
+        a, b, c = (rng.randint(-4, 4) for _ in range(3))
+        T = Matrix.from_rows(CFG3, [[a, b], [b, c]])
+        H = _scalar_form(rng.choice((1, 2)))
+        fast = enumerate_stable_between(T, H)
+        assert [L.key() for L in fast] == [L.key() for L in _naive_stable(T, H)]
+    # Krylov pairs: the companion C of t^2 + chi_1 t + chi_0, which is not
+    # symmetric, with the Hankel H of d_0, d_1, d_2 = -chi_0 d_0 - chi_1 d_1;
+    # p | chi_0 makes C singular mod p: the counts here are 2, 3 and 4
     done = 0
-    while done < 15:
-        # random stable bounds: L1 standard-ish, L0 = p^k L1 with small k
-        k = rng.choice((1, 2))
-        T = Matrix.from_rows(
-            CFG3, [[rng.randint(-4, 4) for _ in range(2)] for _ in range(2)]
-        )
-        L1 = Lattice.standard(CFG3, 2)
-        L0 = L1.scaled(k)
-        if not stabilizes(T, L1):
+    while done < 10:
+        chi = [3 * rng.randint(-3, 3), rng.randint(-4, 4)]
+        d = [rng.randint(-9, 9) for _ in range(2)]
+        d.append(-chi[0] * d[0] - chi[1] * d[1])
+        C = Matrix.companion(CFG3, chi)
+        H = Matrix.hankel(CFG3, [F(x) for x in d], 2)
+        if val_det(H) not in (1, 2, 3, 4):
             continue
-        fast = enumerate_stable_between(L0, L1, T)
-        box = enumerate_all_between(L0, L1)
-        _check_val_det(box)
-        naive = [L for L in box if stabilizes(T, L)]
-        assert [L.key() for L in fast] == [L.key() for L in naive]
+        fast = enumerate_stable_between(C, H)
+        assert [L.key() for L in fast] == [L.key() for L in _naive_stable(C, H)]
         done += 1
+
+
+def test_walk_refuses_non_selfadjoint():
+    # sigma(T)^T H = H T is the walk's precondition, over O_F and over O_E
+    N = Matrix.from_rows(CFG3, [[0, 1], [0, 0]])
+    with pytest.raises(ValueError):
+        enumerate_stable_between(N, _scalar_form(1))
+    with pytest.raises(ValueError):
+        enumerate_stable_between(N.to_quad(), _scalar_form(1))
+    # w T is symmetric but not hermitian: sigma(w) = -w
+    W = Matrix(CFG3, [[CFG3.quad(0, 1), CFG3.quad(0, 0)], [CFG3.quad(0, 0), CFG3.quad(1, 0)]])
+    with pytest.raises(ValueError):
+        enumerate_stable_between(W, _scalar_form(1))
+    with pytest.raises(ValueError):
+        enumerate_selfdual_stable(W, _scalar_form(2))
 
 
 def test_enumerate_selfdual_examples():
@@ -158,33 +193,45 @@ def _closures(M, T, vecs):
     return out
 
 
+# integral K on k^3 with a kernel of dimension d mod 3: 0, rank one over k_F
+# (rows r, 2r + 3 e_1, 3 e_0), and rank one over k_E (rows r, w r, 3 e_0 with
+# w^2 = -1), whose w-parts matter
+KERNEL_FORMS = {
+    ("F", 3): [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    ("F", 2): [[1, 1, 2], [2, 5, 4], [3, 0, 0]],
+    ("E", 2): [[(1, 0), (0, 1), (1, 1)], [(0, 1), (-1, 0), (-1, 1)], [(3, 0), (0, 0), (0, 0)]],
+}
+
+
 @pytest.mark.parametrize("kind,d", [("F", 3), ("F", 2), ("E", 2)])
 def test_quotient_reps_one_per_line(kind, d):
-    # layer/sub of dimension d over the residue field, Q = p or p^2 elements
+    # the kernel of K mod p, a subspace of dimension d over the residue field,
+    # Q = p or p^2 elements
     quad = kind == "E"
-    layer = Lattice.from_generators(
+    M = Lattice.from_generators(
         [[F(1), F(2), F(0)], [F(0), F(3), F(1)], [F(0), F(0), F(1)]], CFG3, kind)
-    cols = [[x * F(3) for x in layer.basis.col(j)] for j in range(3)]
-    sub = Lattice.from_generators(cols + [layer.basis.col(0)] * (3 - d), CFG3, kind)
+    rows = KERNEL_FORMS[kind, d]
+    K = Matrix(CFG3, [[CFG3.quad(*x) for x in row] for row in rows]) if quad \
+        else Matrix.from_rows(CFG3, rows)
     Q = 9 if quad else 3
-    reps = quotient_reps(sub, layer)
+    reps = quotient_reps(M, K)
     assert len(reps) == (Q ** d - 1) // (Q - 1)
-    # every nonzero coset: all digit vectors on the layer's basis, less the zero one
+    # every nonzero coset: B x / p for all digit vectors x with K x / p integral
     digits = ([CFG3.quad(x, y) for x in range(3) for y in range(3)] if quad
               else [F(x) for x in range(3)])
-    free = [layer.basis.col(j) for j in range(3 - d, 3)]
-    cosets = [[F(0)] * 3]
-    for b in free:
-        cosets = [[x + t * y for x, y in zip(v, b)] for v in cosets for t in digits]
-    cosets = [v for v in cosets if not sub.contains(v)]
+    xs = [[]]
+    for _ in range(3):
+        xs = [x + [t] for x in xs for t in digits]
+    third = F(Fraction(1, 3))
+    xs = [x for x in xs if all((y * third).is_integral() for y in K.apply(x))]
+    cosets = [M.basis.apply([t * third for t in x]) for x in xs]
+    cosets = [v for v in cosets if not M.contains(v)]
     assert len(cosets) == Q ** d - 1
     identity = Matrix.identity(CFG3, 3, quad=quad)
     C = Matrix.from_rows(CFG3, [[0, 0, 1], [1, 0, 2], [0, 1, -1]], quad=quad)
     for T in (identity, C):
-        assert _closures(sub, T, reps) == _closures(sub, T, cosets)
-    assert len(_closures(sub, identity, reps)) == len(reps)  # with T = 1, one per line
-    with pytest.raises(ValueError):
-        quotient_reps(layer.scaled(2), layer)
+        assert _closures(M, T, reps) == _closures(M, T, cosets)
+    assert len(_closures(M, identity, reps)) == len(reps)  # with T = 1, one per line
 
 
 # deep integral n=3 points (w^2 = 2) whose Krylov data (C, H) have a nontrivial C
@@ -205,7 +252,7 @@ def _walk_matches_box(T, H):
     box = enumerate_all_between(std, std.dual(H))
     _check_val_det(box)
     integral = [L for L in box if stabilizes(T, L) and L.gram(H).is_integral()]
-    walk = enumerate_stable_between(std, std.dual(H), T, form=H)
+    walk = enumerate_stable_between(T, H)
     assert [L.key() for L in walk] == [L.key() for L in integral]
     got = enumerate_selfdual_stable(T, H)
     assert [L.key() for L in got] == [L.key() for L in integral if L.dual(H) == L]
@@ -227,6 +274,20 @@ def test_integral_walk_checks_every_krylov_pairing():
     T = Matrix.from_rows(CFG3, [[0, 1], [1, 0]], quad=True)
     H = Matrix.from_rows(CFG3, [[3, 0], [0, 3]])
     assert _walk_matches_box(T, H) == []
+
+
+def test_unitary_layer_is_cut_by_the_gram_matrix():
+    # H = 9 J (J swaps e_1, e_2), T = [[1, 1], [0, 1]]: M = O e_1/9 + O e_2 is
+    # self-dual, and v = e_2/3 lies in p^-1 M /\ H^-1 O^2 with h(v, T^k v)
+    # integral, but h(e_1/9, v) = 1/3: over O_E the layer is the kernel of the
+    # Gram matrix, not of H B.  The box filtered by the definitions gives the
+    # same 6 integral lattices, 4 of them self-dual.
+    H = Matrix.from_rows(CFG3, [[0, 9], [9, 0]])
+    T = Matrix.from_rows(CFG3, [[1, 1], [0, 1]], quad=True)
+    walk = enumerate_stable_between(T, H)
+    assert len(walk) == 6
+    assert all(L.gram(H).is_integral() and stabilizes(T, L) for L in walk)
+    assert len(enumerate_selfdual_stable(T, H)) == 4
 
 
 def test_index_sign():
@@ -252,6 +313,5 @@ def test_index_sign_scaling_hom():
 
 
 def test_explosion_guard():
-    std = Lattice.standard(CFG3, 2)
     with pytest.raises(ExplosionGuard):
-        enumerate_stable_between(std.scaled(8), std, Matrix.identity(CFG3, 2), bound_exp=12)
+        enumerate_stable_between(Matrix.identity(CFG3, 2), _scalar_form(8), bound_exp=12)
