@@ -389,11 +389,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        # validate p, u and precision, where registered, before any work
+        # validate p, u, precision and the counts, where registered, before any work
         if "precision" in ns:
             ns.precision = _resolve_precision(ns)
         if "p" in ns:
             field_config(ns)
+        for count in ("samples", "trials"):
+            if getattr(ns, count, 1) < 1:
+                raise ValueError(f"--{count} must be at least 1")
     except (ValueError, FLLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -128,6 +128,7 @@ class InvariantPoint:
         self.charpoly = list(charpoly_coeffs)  # c_0..c_{n-1}, leading 1 implicit
         self.moments = list(moments)  # a_1..a_{n-1}
         self._derived = None
+        self._hankel_vd = None
 
     # -- derived corner data -------------------------------------------
 
@@ -191,16 +192,22 @@ class InvariantPoint:
     def hankel(self) -> Matrix:
         return Matrix.hankel(self.cfg, self.d_list(), self.n - 1)
 
+    def hankel_val_det(self):
+        """val det of the Hankel form (INF off the rss locus), computed once."""
+        if self._hankel_vd is None:
+            self._hankel_vd = val_det(self.hankel())
+        return self._hankel_vd
+
     def is_rss(self) -> bool:
         if self.n == 1:
             return True
-        return val_det(self.hankel()) is not INF
+        return self.hankel_val_det() is not INF
 
     def hermitian_exists(self) -> bool:
         """A hermitian preimage exists iff val_det of the Hankel form is even."""
         if self.n == 1:
             return True
-        vd = val_det(self.hankel())
+        vd = self.hankel_val_det()
         if vd is INF:
             raise NotRss("invariant point is not rss")
         return vd % 2 == 0

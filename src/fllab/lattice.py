@@ -13,7 +13,26 @@ For M with basis B the p-layer is p^-1 M /\\ H^-1 O^m over O_F, and
 p^-1 M /\\ M^dual over O_E, as M^dual lies in (O^m)^dual = H^-1 O^m.  B x / p
 is in it iff K x = 0 mod p, for K = H B, resp. the Gram matrix sigma(B)^T H B,
 so the layer is the kernel of K on k^m: the walk's only per-layer algebra.
-A structurally independent box enumeration backs the oracles.
+
+The walk runs on integers.  With e = val det H, p^e H^-1 is adj(H) times a
+unit, so every lattice the walk meets lies in H^-1 O^m <= p^-e O^m and
+S = p^e L has p^e O^m <= S <= O^m.  S is kept as the canonical basis of L
+scaled by p^e: diagonal p^(k_j + e), entries (i, j) below it in
+[0, p^(k_i + e)); ints over O_F, pairs (a, b) for a + b w over O_E = Z_p[w].
+As p^e O^m <= S, a vector lies in S iff its residue mod p^e does, so S is
+exact when stored mod p^e, and its canonical basis comes from the HNF
+modulo D = p^e of Domich, Kannan and Trotter (Cohen, A Course in
+Computational Algebraic Number Theory, 2.4.2), with the Howell step that
+restores what working mod p^e drops (see _hnf_mod).  Read mod p, the layer
+matrix K = H S / p^e needs H S mod p^(e+1), and the Gram matrix
+sigma(S)^T H S / p^(2e) needs that product mod p^(2e+1); so T and H are read
+once as residues mod p^(2e+1), and a truncated input with fewer digits
+raises PrecisionExhausted rather than give a wrong lattice.  The layer
+vectors p^e v = S x / p are integral, as v lies in H^-1 O^m <= p^-e O^m.
+Lattice objects are built only for the lattices the walk returns.
+
+A structurally independent box enumeration backs the oracles; it shares no
+HNF with the walk.
 
 Distinct calls are independent and freely parallelizable.
 """
@@ -24,8 +43,8 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import ExplosionGuard, ZeroModule
-from .linalg import Matrix, _dot, hnf_basis, inverse, val_det
-from .padic import FieldConfig, QuadScalar
+from .linalg import Matrix, hnf_basis, inverse, val_det
+from .padic import FieldConfig, PAdicScalar, QuadScalar
 
 
 class Lattice:
@@ -187,42 +206,253 @@ def stabilizes(T: Matrix, L: Lattice) -> bool:
     return all(L.contains(T.apply(L.basis.col(j))) for j in range(L.rank))
 
 
-def quotient_reps(M: Lattice, K: Matrix):
-    """One vector B x / p per line of the kernel of K mod p on k^m (k = k_F, or
-    k_E over O_E), for M with basis B and an integral K.
+# ----------------------------------------------------------------------
+# integer residues for the walk and the box
+
+
+class _ResiduesF:
+    """O_F modulo powers of p, for lattices scaled by p^e: residues are ints."""
+
+    zero, one = 0, 1
+
+    def __init__(self, p: int, u: int, e: int):
+        self.p, self.u, self.e = p, u, e
+        self.pe = p**e
+
+    def lift(self, x, k: int):
+        """Residue mod p^k of the integral scalar x (PrecisionExhausted if it has
+        fewer digits)."""
+        return x.lift_scaled(0, k)
+
+    def scalar(self, x, cfg: FieldConfig, den: int = 1):
+        return PAdicScalar.exact(cfg, Fraction(x, den))
+
+    def const(self, c: int):
+        return c
+
+    def digits(self, n: int):
+        """The residues mod n (n a power of p)."""
+        return range(n)
+
+    def dot(self, xs, ys, mod: int = 0):
+        s = sum(x * y for x, y in zip(xs, ys))
+        return s % mod if mod else s
+
+    conj_dot = dot  # sigma is the identity on F
+
+    def reduce(self, x, mod: int):
+        return x % mod
+
+    def mul(self, x, y, mod: int):
+        return x * y % mod
+
+    def submul(self, x, f, y, mod: int):
+        """x - f y mod `mod`."""
+        return (x - f * y) % mod
+
+    def div(self, x, d: int):
+        return x // d
+
+    def val(self, x) -> int:
+        """Valuation of the nonzero x."""
+        v = 0
+        while x % self.p == 0:
+            x //= self.p
+            v += 1
+        return v
+
+    def unit_inv(self, x, mod: int):
+        return pow(x, -1, mod)
+
+
+class _ResiduesE(_ResiduesF):
+    """O_E = Z_p[w] modulo powers of p: pairs (a, b) for a + b w, w^2 = u."""
+
+    zero, one = (0, 0), (1, 0)
+
+    def lift(self, x, k: int):
+        if isinstance(x, QuadScalar):
+            return x.a.lift_scaled(0, k), x.b.lift_scaled(0, k)
+        return x.lift_scaled(0, k), 0
+
+    def scalar(self, x, cfg: FieldConfig, den: int = 1):
+        return QuadScalar(PAdicScalar.exact(cfg, Fraction(x[0], den)),
+                          PAdicScalar.exact(cfg, Fraction(x[1], den)))
+
+    def const(self, c: int):
+        return c, 0
+
+    def digits(self, n: int):
+        return list(product(range(n), repeat=2))
+
+    def dot(self, xs, ys, mod: int = 0):
+        u, a, b = self.u, 0, 0
+        for (xa, xb), (ya, yb) in zip(xs, ys):
+            a += xa * ya + u * xb * yb
+            b += xa * yb + xb * ya
+        return (a % mod, b % mod) if mod else (a, b)
+
+    def conj_dot(self, xs, ys, mod: int = 0):
+        """sum sigma(x) y."""
+        return self.dot([(xa, -xb) for xa, xb in xs], ys, mod)
+
+    def reduce(self, x, mod: int):
+        return x[0] % mod, x[1] % mod
+
+    def mul(self, x, y, mod: int):
+        (xa, xb), (ya, yb) = x, y
+        return (xa * ya + self.u * xb * yb) % mod, (xa * yb + xb * ya) % mod
+
+    def submul(self, x, f, y, mod: int):
+        fa, fb = f
+        ya, yb = y
+        return ((x[0] - fa * ya - self.u * fb * yb) % mod,
+                (x[1] - fa * yb - fb * ya) % mod)
+
+    def div(self, x, d: int):
+        return x[0] // d, x[1] // d
+
+    def val(self, x) -> int:
+        """Valuation of the nonzero x: the least over its parts (E/F is unramified)."""
+        return min(_ResiduesF.val(self, c) for c in x if c)
+
+    def unit_inv(self, x, mod: int):
+        a, b = x
+        n = pow(a * a - self.u * b * b, -1, mod)  # the norm of a unit is a unit
+        return a * n % mod, -b * n % mod
+
+
+def _residues(cfg: FieldConfig, quad: bool, e: int) -> _ResiduesF:
+    return (_ResiduesE if quad else _ResiduesF)(cfg.p, cfg.u, e)
+
+
+def _hnf_mod(gens, R: _ResiduesF) -> tuple:
+    """Canonical basis, as columns, of the module S spanned by gens and p^e O^m,
+    computed modulo p^e (p^e = R.pe): column j is p^(k_j) e_j plus entries
+    (i, j) in [0, p^(k_i)) below the diagonal, i.e. hnf_basis of S.
+
+    Rows are cleared top down.  At row i the generator of least valuation v
+    becomes the pivot column c, scaled by a unit to c_i = p^v, and the others
+    lose their row i.  Exact elimination would also clear the generator
+    p^e e_i of p^e O^m, leaving p^e e_i - p^(e-v) c with p^(e-v) c below row i;
+    modulo p^e that generator is 0, so the Howell step adds p^(e-v) c (whose
+    row i is p^e = 0) in its place.  It also makes the multipliers of the
+    elimination, known only mod p^(e-v), well defined.  Without it the
+    result can miss p^(e-v) c and come out too small.  A row with no pivot
+    mod p^e gets p^e e_i.
+    Last, each entry (i, j) below the diagonal is reduced mod p^(k_i) by
+    column i, rows in order.
+    """
+    p, e, pe, zero = R.p, R.e, R.pe, R.zero
+    m = len(gens[0])
+    active = [[R.reduce(x, pe) for x in g] for g in gens]
+    cols, ks = [], []
+    for i in range(m):
+        best = None
+        for idx, g in enumerate(active):
+            if g[i] != zero:
+                v = R.val(g[i])
+                if best is None or v < best[0]:
+                    best = (v, idx)
+        if best is None:
+            col = [zero] * m
+            col[i] = R.const(pe)
+            cols.append(col)
+            ks.append(e)
+            continue
+        v, idx = best
+        pv = p**v
+        c = active.pop(idx)
+        inv = R.unit_inv(R.div(c[i], pv), pe)
+        c = [R.mul(x, inv, pe) for x in c]
+        for g in active:
+            if g[i] != zero:
+                f = R.div(g[i], pv)
+                for r in range(i + 1, m):
+                    g[r] = R.submul(g[r], f, c[r], pe)
+                g[i] = zero
+        if v:
+            active.append([R.mul(R.const(p ** (e - v)), x, pe) for x in c])  # Howell
+        cols.append(c)
+        ks.append(v)
+    for i in range(1, m):
+        d = p ** ks[i]
+        for j in range(i):
+            f = R.div(cols[j][i], d)
+            if f != zero:
+                for r in range(i, m):
+                    cols[j][r] = R.submul(cols[j][r], f, cols[i][r], pe)
+    return tuple(tuple(c) for c in cols)
+
+
+def _layer_matrix(S, H, R: _ResiduesF):
+    """K mod p (rows) for M = p^-e S with basis B = S / p^e: H B over O_F and
+    the Gram matrix sigma(B)^T H B over O_E, from H mod p^(2e+1)."""
+    p, e = R.p, R.e
+    if isinstance(R, _ResiduesE):
+        mod = p ** (2 * e + 1)
+        HS = [[R.dot(row, s, mod) for row in H] for s in S]
+        return [[R.div(R.conj_dot(s, hs, mod), p ** (2 * e)) for hs in HS] for s in S]
+    return [[R.dot(row, s, p * R.pe) // R.pe for s in S] for row in H]
+
+
+def _lattice(S, R: _ResiduesF, cfg: FieldConfig, kind: str) -> Lattice:
+    """The Lattice p^-e S, S canonical (columns)."""
+    m = len(S)
+    zero = R.scalar(R.zero, cfg)
+    rows = [[R.scalar(S[j][i], cfg, R.pe) if j <= i else zero for j in range(m)]
+            for i in range(m)]
+    return Lattice(Matrix(cfg, rows), kind, canonical=True)
+
+
+def _f_matrix(A: Matrix) -> Matrix | None:
+    """A over F when no entry has a w-part (exactly), else None."""
+    if A.kind == "F":
+        return A
+    if any(not x.b.is_exact_zero() for row in A.entries for x in row):
+        return None
+    return Matrix(A.cfg, [[x.a for x in row] for row in A.entries])
+
+
+def _selfadjoint(T: Matrix, H: Matrix) -> bool:
+    """T and H integral with sigma(T)^T H = H T, exactly; over F when no entry
+    has a w-part, as sigma is then the identity."""
+    if not (T.is_integral() and H.is_integral()):
+        return False
+    Tf, Hf = _f_matrix(T), _f_matrix(H)
+    if Tf is None or Hf is None:
+        return (T.sigma_transpose() * H).agrees(H * T)
+    return (Tf.transpose() * Hf).agrees(Hf * Tf)
+
+
+# ----------------------------------------------------------------------
+# the walk
+
+
+def quotient_reps(S, K, R: _ResiduesF):
+    """One vector S x / p per line of the kernel of K mod p on k^m (k = k_F, or
+    k_E over O_E), for the integral basis S (columns) of p^e M, M with basis
+    B = S / p^e, and the layer matrix K of M mod p (residues, rows).
 
     With K = H B over O_F these are the lines of the p-layer
     (p^-1 M /\\ H^-1 O^m) / M, as H B x / p is integral iff K x = 0 mod p; with
     the Gram matrix K = sigma(B)^T H B over O_E, of (p^-1 M /\\ M^dual) / M,
     which holds the rest of the layer as M^dual <= H^-1 O^m.  B x / p depends
     on x only up to M, and the x with leading nonzero digit 1 are one per line
-    of k^m; those whose integer residues (pairs a + b w, w^2 = u, over k_E)
-    pass K x = 0 are one per line of the kernel, (Q^d - 1)/(Q - 1) of them for
+    of k^m; those whose residues (pairs a + b w, w^2 = u, over k_E) pass
+    K x = 0 are one per line of the kernel, (Q^d - 1)/(Q - 1) of them for
     dimension d and Q = |k|.  The walk needs no more: M + O[T] v only depends
-    on the line of v.
+    on the line of v.  The vectors are returned as p^e v = S x / p, exactly;
+    in the walk they are integral, as v lies in H^-1 O^m <= p^-e O^m.
     """
-    cfg, m, quad = M.cfg, M.rank, M.kind == "E"
-    p, u = cfg.p, cfg.u
-    parts = (lambda x: (x.a, x.b)) if quad else (lambda x: (x, cfg.zero()))
-    res = [[tuple(y.lift_scaled(0, 1) for y in parts(x)) for x in row] for row in K.entries]
-    digits = list(product(range(p), range(p) if quad else (0,)))
-
-    def in_kernel(x):
-        for row in res:
-            a = sum(r * s + u * rw * sw for (r, rw), (s, sw) in zip(row, x))
-            b = sum(r * sw + rw * s for (r, rw), (s, sw) in zip(row, x))
-            if a % p or b % p:
-                return False
-        return True
-
+    p, m = R.p, len(S)
+    rows = list(zip(*S))
     out = []
     for lead in range(m):
-        for rest in product(digits, repeat=m - 1 - lead):
-            x = [(0, 0)] * lead + [(1, 0)] + list(rest)
-            if in_kernel(x):
-                coeffs = [cfg.quad(Fraction(a, p), Fraction(b, p)) if quad
-                          else cfg.scalar(Fraction(a, p)) for a, b in x]
-                out.append([_dot(row, coeffs) for row in M.basis.entries])
+        for rest in product(R.digits(p), repeat=m - 1 - lead):
+            x = [R.zero] * lead + [R.one] + list(rest)
+            if all(R.dot(row, x, p) == R.zero for row in K):
+                out.append([R.div(R.dot(row, x), p) for row in rows])
     return out
 
 
@@ -243,32 +473,45 @@ def enumerate_stable_between(T: Matrix, H: Matrix, bound_exp: int = 12):
     where the kernel is 0: K is then unimodular, so M = H^-1 O^m over O_F and
     M = M^dual, with no integral lattice above it, over O_E.
     ExplosionGuard bounds all of H^-1 O^m / O^m, before the walk.
+
+    Every step runs on the integer lattices S = p^e L (module docstring),
+    which hold p^e O^m and so are exact mod p^e: K mod p from H mod p^(2e+1)
+    (sigma(S)^T H S is p^(2e) times the Gram matrix), the integral layer
+    vectors y = S x / p = p^e v, the closure generators T^k y mod p^e, the
+    pairings p^(2e) h(v, T^k v) = sigma(y)^T H T^k y mod p^(2e) (T^k y mod p^e
+    is enough there, as H y = p^e H v is 0 mod p^e), and the closures from
+    _hnf_mod.  The int tuple of S is the dedupe key.
     """
-    if not (T.is_integral() and H.is_integral() and (T.sigma_transpose() * H).agrees(H * T)):
+    if not _selfadjoint(T, H):
         raise ValueError("T and H must be integral, with sigma(T)^T H = H T")
     cfg, m, kind, quad = T.cfg, T.rows, T.kind, T.kind == "E"
-    e = val_det(H) * (2 if quad else 1)  # INF for a singular H
-    if e > bound_exp:
-        raise ExplosionGuard(f"quotient size p^{e} exceeds p^{bound_exp}")
-    std = Lattice.standard(cfg, m, kind)
-    found = {std.key(): std}
+    e = val_det(H)
+    size = e * (2 if quad else 1)  # INF for a singular H
+    if size > bound_exp:
+        raise ExplosionGuard(f"quotient size p^{size} exceeds p^{bound_exp}")
+    R = _residues(cfg, quad, e)
+    Tr = [[R.lift(x, 2 * e + 1) for x in row] for row in T.entries]
+    Hr = [[R.lift(x, 2 * e + 1) for x in row] for row in H.entries]
+    Hcols = list(zip(*Hr))
+    pe, p2e = R.pe, cfg.p ** (2 * e)
+    std = tuple(tuple(R.const(pe) if i == j else R.zero for i in range(m)) for j in range(m))
+    found = {std}
     frontier = [std]
     while frontier:
-        M = frontier.pop()
-        base = [M.basis.col(j) for j in range(m)]
-        for v in quotient_reps(M, M.gram(H) if quad else H * M.basis):
-            new = [v]
+        S = frontier.pop()
+        for y in quotient_reps(S, _layer_matrix(S, Hr, R), R):
+            new = [y]
             for _ in range(m - 1):
-                new.append(T.apply(new[-1]))
+                new.append([R.dot(row, new[-1], pe) for row in Tr])
             if quad:
-                hv = [x.sigma() for x in H.apply(v)]  # h(v, w) = hv . w
-                if not all(_dot(hv, w).is_integral() for w in new):
+                hy = [R.conj_dot(y, col, p2e) for col in Hcols]  # h(v, w) = hy . w
+                if any(R.dot(hy, w, p2e) != R.zero for w in new):
                     continue
-            N = Lattice.from_generators(base + new, cfg, kind)
-            if N.key() not in found:
-                found[N.key()] = N
+            N = _hnf_mod(S + tuple(new), R)
+            if N not in found:
+                found.add(N)
                 frontier.append(N)
-    return sorted(found.values(), key=lambda L: L.key())
+    return sorted((_lattice(S, R, cfg, kind) for S in found), key=Lattice.key)
 
 
 def enumerate_selfdual_stable(T: Matrix, H: Matrix, bound_exp: int = 12):
@@ -290,15 +533,32 @@ def enumerate_selfdual_stable(T: Matrix, H: Matrix, bound_exp: int = 12):
 # independent box enumeration (oracle support)
 
 
+def _in_digit_span(cols, ks, y, R: _ResiduesF) -> bool:
+    """y in D O^m for the triangular digit matrix D (columns, diagonal p^(k_j),
+    sum k_j <= e), by forward substitution mod p^e: D O^m holds p^e O^m, so
+    taking column j off y as often as row j allows keeps y in D O^m or out of
+    it, and rows that are 0 mod p^e are in D O^m."""
+    y = list(y)
+    for j, col in enumerate(cols):
+        d = R.p ** ks[j]
+        if R.reduce(y[j], d) != R.zero:
+            return False
+        f = R.div(y[j], d)
+        for r in range(j + 1, len(y)):
+            y[r] = R.submul(y[r], f, col[r], R.pe)
+    return True
+
+
 def enumerate_all_between(L0: Lattice, L1: Lattice, max_quotient_exp: int = 8):
     """Every lattice between L0 and L1, by direct generation of canonical
     triangular matrices relative to L1 (no stability logic).
 
     Diagonal exponents are chosen first (so the canonical below-diagonal
     ranges (i, j) -> [0, p^{k_i}) are known), then each candidate digit matrix
-    is filtered by containment of L0 in L1 coordinates; only the survivors are
-    mapped back and put in canonical form.  Each lattice in the box appears
-    exactly once.
+    D is filtered in integers by containment of L0 in L1 D, read from the
+    coordinates of L0 in L1 mod p^e (e = val det L0 - val det L1); only the
+    survivors are mapped back and put in canonical form by hnf_basis.  Each
+    lattice in the box appears exactly once.
     """
     if not L1.contains_lattice(L0):
         raise ValueError("L0 must be contained in L1")
@@ -309,13 +569,8 @@ def enumerate_all_between(L0: Lattice, L1: Lattice, max_quotient_exp: int = 8):
     m = L0.rank
     cfg = L0.cfg
     p = cfg.p
-    quad = L0.kind == "E"
-    rel_L0 = [L1.coords(L0.basis.col(j)) for j in range(m)]
-
-    def scalars(exp):
-        if quad:
-            return [cfg.quad(x, y) for x in range(p**exp) for y in range(p**exp)]
-        return [cfg.scalar(x) for x in range(p**exp)]
+    R = _residues(cfg, L0.kind == "E", e)
+    rel_L0 = [[R.lift(x, e) for x in L1.coords(L0.basis.col(j))] for j in range(m)]
 
     # diagonal exponent vectors with sum <= e (det divisibility bound)
     kvecs = [[]]
@@ -327,26 +582,17 @@ def enumerate_all_between(L0: Lattice, L1: Lattice, max_quotient_exp: int = 8):
         # columns j = 0..m-1, entry (i, j) for i > j ranges mod p^{k_i}
         cols_choices = [[]]
         for j in range(m):
-            col_base = [cfg.quad(0, 0) if quad else cfg.zero()] * m
-            col_base[j] = cfg.quad(Fraction(p) ** kv[j], 0) if quad else cfg.scalar(
-                Fraction(p) ** kv[j])
-            variants = [list(col_base)]
+            col_base = [R.zero] * m
+            col_base[j] = R.const(p ** kv[j])
+            variants = [col_base]
             for i in range(j + 1, m):
-                variants = [
-                    c[:i] + [v] + c[i + 1:] for c in variants for v in scalars(kv[i])
-                ]
+                variants = [c[:i] + [x] + c[i + 1:]
+                            for c in variants for x in R.digits(p ** kv[i])]
             cols_choices = [cc + [c] for cc in cols_choices for c in variants]
         for cols in cols_choices:
-            digits = Lattice(Matrix(cfg, list(zip(*cols))), L0.kind, canonical=True)
-            if not all(digits.contains(v) for v in rel_L0):
+            if not all(_in_digit_span(cols, kv, y, R) for y in rel_L0):
                 continue
-            gens = []
-            for col in cols:
-                vec = None
-                for i, x in enumerate(col):
-                    term = [y * x for y in L1.basis.col(i)]
-                    vec = term if vec is None else [a + b for a, b in zip(vec, term)]
-                gens.append(vec)
+            gens = [L1.basis.apply([R.scalar(x, cfg) for x in col]) for col in cols]
             L = Lattice.from_generators(gens, cfg, L0.kind)
             out[L.key()] = L
     return sorted(out.values(), key=lambda L: L.key())

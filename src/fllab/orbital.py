@@ -100,7 +100,8 @@ def _krylov_value(side: str, lam, d, chi_p, bound_exp: int):
     found = krylov_lattices(lam, d, chi_p, "E" if side == "u" else "F", bound_exp)
     if side == "u" or not found:
         return len(found), len(found)
-    sign = -1 if val_det(Matrix.hankel(lam.cfg, d, len(chi_p))) % 2 else 1
+    # H^-1 O^m is found, and its val det -val det H is the least
+    sign = -1 if min(L.val_det() for L in found) % 2 else 1
     return sign * sum(L.index_sign() for L in found), len(found)
 
 

@@ -219,6 +219,24 @@ def test_fourier_check_small_n(capsys, n):
     assert "n must be at least 2" in err
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_fourier_check_refuses_no_trials(capsys, trials):
+    code, out, err = run_cli(capsys, "fourier-check", "--p", "3", "--n", "2",
+                             "--trials", trials)
+    assert code == 2
+    assert out == ""
+    assert "--trials must be at least 1" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "lemma1"])
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_campaigns_refuse_no_samples(capsys, command, samples):
+    code, out, err = run_cli(capsys, command, "--p", "3", "--n", "2", "--samples", samples)
+    assert code == 2
+    assert out == ""
+    assert "--samples must be at least 1" in err
+
+
 def test_subcommands_refuse_options_they_do_not_read(tmp_path, capsys):
     mat = {"p": 3, "n": 2, "side": "gl", "entries": [["1", "1"], ["9", "0"]]}
     path = tmp_path / "y.json"

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from fllab.errors import ExplosionGuard, ZeroModule
+from fllab.errors import ExplosionGuard, PrecisionExhausted, ZeroModule
 from fllab.geometry import HnElement, invariants_of
 from fllab.lattice import (
     Lattice,
+    _hnf_mod,
+    _residues,
     enumerate_all_between,
     enumerate_selfdual_stable,
     enumerate_stable_between,
@@ -15,8 +17,8 @@ from fllab.lattice import (
     quotient_reps,
     stabilizes,
 )
-from fllab.linalg import Matrix, val_det
-from fllab.padic import FieldConfig
+from fllab.linalg import Matrix, hnf_basis, val_det
+from fllab.padic import FieldConfig, PAdicScalar, QuadScalar, smallest_nonresidue
 
 CFG3 = FieldConfig(3, -1)
 
@@ -214,7 +216,11 @@ def test_quotient_reps_one_per_line(kind, d):
     K = Matrix(CFG3, [[CFG3.quad(*x) for x in row] for row in rows]) if quad \
         else Matrix.from_rows(CFG3, rows)
     Q = 9 if quad else 3
-    reps = quotient_reps(M, K)
+    # in integers: S = p B, so S x / p = B x comes back scaled by p
+    R = _residues(CFG3, quad, 1)
+    S = tuple(tuple(R.lift(x, 8) for x in M.scaled(1).basis.col(j)) for j in range(3))
+    res = [[R.lift(x, 1) for x in row] for row in K.entries]
+    reps = [[R.scalar(y, CFG3, 3) for y in v] for v in quotient_reps(S, res, R)]
     assert len(reps) == (Q ** d - 1) // (Q - 1)
     # every nonzero coset: B x / p for all digit vectors x with K x / p integral
     digits = ([CFG3.quad(x, y) for x in range(3) for y in range(3)] if quad
@@ -267,6 +273,78 @@ def test_selfdual_walk_matches_box_krylov(p, rows, count):
     _, d, chi_p = invariants_of(X)._derive()
     C = Matrix.companion(cfg, chi_p, quad=True)
     assert len(_walk_matches_box(C, Matrix.hankel(cfg, d, 2))) == count
+
+
+def _krylov_pair(p, rows):
+    cfg = FieldConfig(p, 2)
+    X = HnElement(Matrix(cfg, [[cfg.quad(*e) for e in row] for row in rows]))
+    _, d, chi_p = invariants_of(X)._derive()
+    return Matrix.companion(cfg, chi_p), Matrix.hankel(cfg, d, 2)
+
+
+def _truncated(A, digits):
+    # each entry of the exact matrix A known to `digits` p-adic digits only
+    def cut(x):
+        if isinstance(x, QuadScalar):
+            return QuadScalar(cut(x.a), cut(x.b))
+        if x.is_exact_zero():
+            return PAdicScalar.inexact(x.cfg, None, 0, digits)
+        return PAdicScalar.inexact(x.cfg, x.val, x.unit, digits)
+
+    return Matrix(A.cfg, [[cut(x) for x in row] for row in A.entries])
+
+
+@pytest.mark.parametrize("p,rows,count", KRYLOV_POINTS)
+def test_walk_reads_truncated_inputs(p, rows, count):
+    # the walk reads T and H mod p^(2e+1), e = val det H: with that many digits
+    # it returns the exact answer, with one digit less it refuses
+    C, H = _krylov_pair(p, rows)
+    e = val_det(H)
+    for T in (C, C.to_quad()):
+        exact = [L.key() for L in enumerate_stable_between(T, H)]
+        cut = enumerate_stable_between(_truncated(T, 2 * e + 1), _truncated(H, 2 * e + 1))
+        assert [L.key() for L in cut] == exact
+        with pytest.raises(PrecisionExhausted):
+            enumerate_stable_between(_truncated(T, 2 * e + 1), _truncated(H, 2 * e))
+
+
+def _column_key(mat):
+    # the canonical basis of hnf_basis as integer columns (ints, or pairs over E)
+    def digit(x):
+        if isinstance(x, QuadScalar):
+            return int(x.a.as_fraction()), int(x.b.as_fraction())
+        return int(x.as_fraction())
+
+    return tuple(tuple(digit(x) for x in mat.col(j)) for j in range(mat.cols))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("kind", ["F", "E"])
+def test_hnf_mod_matches_hnf_basis(p, kind):
+    # random generators, some of valuation > 0, of S = span + p^e O^m: the HNF
+    # mod p^e gives hnf_basis of S, with or without the p^e e_i among them
+    cfg = FieldConfig(p, smallest_nonresidue(p))
+    quad = kind == "E"
+    rng = random.Random(f"hnf:{p}:{kind}")
+    for _ in range(150):
+        m, e = rng.randint(1, 4), rng.randint(0, 4)
+        R = _residues(cfg, quad, e)
+        bound = p ** (e + 1)
+
+        def entry(scale):
+            if quad:
+                return tuple(scale * rng.randint(-bound, bound) for _ in range(2))
+            return scale * rng.randint(-bound, bound)
+
+        gens = []
+        for _ in range(rng.randint(1, m + 2)):
+            scale = p ** rng.choice((0, 0, 1, 2))
+            gens.append([entry(scale) for _ in range(m)])
+        box = [[R.const(R.pe if i == j else 0) for i in range(m)] for j in range(m)]
+        to_scalar = (lambda x: cfg.quad(*x)) if quad else cfg.scalar
+        ref, pivots = hnf_basis([[to_scalar(x) for x in g] for g in gens + box], cfg, quad)
+        assert len(pivots) == m
+        assert _hnf_mod(gens, R) == _hnf_mod(gens + box, R) == _column_key(ref)
 
 
 def test_integral_walk_checks_every_krylov_pairing():
