@@ -2,7 +2,13 @@
 
 Subcommands: verify, orbit, invariants, represent, fourier-check, lemma1.
 Exit codes: 0 success, 1 mathematical mismatch / failed identity,
-2 usage or parse error, 3 precision failures.
+2 usage or parse error, 3 precision exhausted (represent and lemma1 only).
+
+Every input is an exact rational, and verify, orbit and invariants compute
+exactly: a matrix file that is not exactly hermitian is refused, not rounded.
+p-adic truncation enters only where a square root is taken, in the norm
+equations of represent --side u and lemma1, so only those two read
+--precision (or FLLAB_PRECISION): the number of digits such a root keeps.
 
 Reports are deterministic for a fixed configuration (timestamp and
 per-sample runtimes excluded); per-sample RNG streams are derived from
@@ -89,10 +95,14 @@ def _run_one_sample(index: int, cfg, args: argparse.Namespace):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if not 0 <= args.vanishing_fraction <= 1:
+        raise ValueError("--vanishing-fraction must lie in [0, 1]")
+    if args.n == 1 and args.vanishing_fraction:
+        # every rss point of size 1 has a hermitian preimage
+        raise ValueError("--n 1 has no vanishing points: pass --vanishing-fraction 0")
     cfg = field_config(args)
     samples = []
     mismatches = 0
-    precision_failures = 0
     explosion_skips = 0
     for index in range(args.samples):
         t0 = time.perf_counter()
@@ -108,9 +118,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
             if not comp.equal:
                 mismatches += 1
-        except PrecisionExhausted as exc:
-            precision_failures += 1
-            record.update(error="precision", message=str(exc), equal=None)
         except ExplosionGuard as exc:
             explosion_skips += 1
             record.update(error="explosion", message=str(exc), equal=None)
@@ -122,16 +129,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "summary": {
             "total": args.samples,
             "mismatches": mismatches,
-            "precision_failures": precision_failures,
             "explosion_skips": explosion_skips,
         },
     }
     _emit_report(report, args)
-    if mismatches:
-        return 1
-    if precision_failures:
-        return 3
-    return 0
+    return 1 if mismatches else 0
 
 
 def _meta(cfg: FieldConfig, args: argparse.Namespace) -> dict:
@@ -140,7 +142,6 @@ def _meta(cfg: FieldConfig, args: argparse.Namespace) -> dict:
         "u": cfg.u,
         "n": args.n,
         "seed": args.seed,
-        "precision": cfg.precision,
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
@@ -171,12 +172,12 @@ def _emit_report(report: dict, args: argparse.Namespace):
 # matrix / invariants I/O
 
 
-def load_matrix(path: str, precision: int):
+def load_matrix(path: str):
     with open(path) as fh:
         obj = json.load(fh)
     p = int(obj["p"])
     u = int(obj.get("u", smallest_nonresidue(p)))
-    cfg = FieldConfig(p, u, precision)
+    cfg = FieldConfig(p, u)
     n = int(obj["n"])
     side = obj.get("side", "gl")
     if side not in ("u", "gl"):
@@ -196,11 +197,19 @@ def load_matrix(path: str, precision: int):
 def matrix_to_json(elt, side: str, cfg: FieldConfig) -> dict:
     n = elt.n
     entries = [[format_scalar(elt.mat[i, j]) for j in range(n)] for i in range(n)]
+    if side == "u":
+        # truncated digits are written as exact numbers, and a file is read as
+        # exact: write an exactly hermitian matrix, sigma of the written upper
+        # triangle below the diagonal, and the F-part on it
+        for i in range(n):
+            entries[i][i] = format_scalar(elt.mat[i, i].f_part())
+            for j in range(i):
+                entries[i][j] = format_scalar(parse_scalar(entries[j][i], cfg, quad=True).sigma())
     return {"p": cfg.p, "u": cfg.u, "n": n, "side": side, "entries": entries}
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:
-    elt, side, cfg = load_matrix(args.input, args.precision)
+    elt, side, cfg = load_matrix(args.input)
     if args.side and args.side != side:
         print(f"note: file says side={side}, flag says side={args.side}; using flag",
               file=sys.stderr)
@@ -228,7 +237,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
-    elt, side, cfg = load_matrix(args.input, args.precision)
+    elt, side, cfg = load_matrix(args.input)
     a = invariants_of(elt)
     out = a.to_json_dict()
     out["rss"] = a.is_rss()
@@ -312,7 +321,7 @@ def cmd_lemma1(args: argparse.Namespace) -> int:
             failures += 1
         done += 1
     report = {
-        "meta": _meta(cfg, args),
+        "meta": dict(_meta(cfg, args), precision=cfg.precision),
         "samples": records,
         "summary": {"total": done, "failures": failures},
     }
@@ -332,13 +341,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # each subcommand registers only the options it reads; --out and --csv are paths
-    ints = {"--p": 3, "--u": None, "--n": 2, "--seed": 0, "--precision": None,
-            "--explosion-bound": 12, "--height": 50, "--samples": 100}
-    campaign = (*ints, "--out", "--csv")
+    ints = {"--p": 3, "--u": None, "--n": 2, "--seed": 0, "--explosion-bound": 12,
+            "--height": 50, "--samples": 100, "--precision": None}
+    campaign = ("--p", "--u", "--n", "--seed", "--explosion-bound", "--height", "--samples",
+                "--out", "--csv")
+    helps = {"--precision": "p-adic digits kept by the square roots that represent --side u "
+                            f"and lemma1 take (default {DEFAULT_PRECISION}, or FLLAB_PRECISION)"}
 
     def add_common(sp, *flags):
         for flag in flags:
-            sp.add_argument(flag, type=int if flag in ints else str, default=ints.get(flag))
+            sp.add_argument(flag, type=int if flag in ints else str, default=ints.get(flag),
+                            help=helps.get(flag))
 
     sp = sub.add_parser("verify", help="randomized matching campaign")
     add_common(sp, *campaign)
@@ -346,13 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
                     dest="vanishing_fraction")
 
     sp = sub.add_parser("orbit", help="one orbital integral from a matrix file")
-    add_common(sp, "--precision", "--explosion-bound")
+    add_common(sp, "--explosion-bound")
     sp.add_argument("--side", choices=("u", "gl"), required=True)
     sp.add_argument("--input", required=True)
     sp.add_argument("--oracle", action="store_true")
 
     sp = sub.add_parser("invariants", help="invariant tuple of a matrix file")
-    add_common(sp, "--precision")
     sp.add_argument("--input", required=True)
 
     sp = sub.add_parser("represent", help="representative matrix from invariants")
@@ -366,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=10)
 
     sp = sub.add_parser("lemma1", help="descent identities at unit q")
-    add_common(sp, *campaign)
+    add_common(sp, *campaign, "--precision")
     return parser
 
 

@@ -67,7 +67,7 @@ class HnElement:
             raise ValueError("need a square matrix of size >= 1")
         mat = mat.to_quad()
         if check and not mat.is_hermitian():
-            raise ValueError("matrix is not hermitian at working precision")
+            raise ValueError("matrix is not hermitian")
         self.mat = mat
         self.n = mat.rows
 
@@ -168,12 +168,16 @@ class InvariantPoint:
             chi_p[j - 1] = acc
         chi_p = chi_p[:m]
         # consistency: the d's must satisfy the chi' recursion (proved identity,
-        # asserted here to catch implementation drift)
+        # asserted here to catch implementation drift), exactly on exact input
         for kk in range(m):
             acc = d[kk + m]
             for jj in range(m):
                 acc = acc + chi_p[jj] * d[kk + jj]
-            if not (acc.is_zero_at_precision() or acc.valuation_lower_bound() >= cfg.D - 6):
+            if acc.is_exact:
+                ok = acc.is_exact_zero()
+            else:
+                ok = acc.is_zero_at_precision() or acc.valuation_lower_bound() >= cfg.D - 6
+            if not ok:
                 raise AssertionError("corner-moment recursion inconsistent")
         self._derived = (lam, d, chi_p)
         return self._derived

@@ -3,7 +3,8 @@
 A lattice is stored by its canonical triangular basis (columns generate,
 exact entries), so equality of lattices is bit-equality of bases.  The walk
 finds the T-stable lattices O^m <= L <= H^-1 O^m, for integral T and H with
-sigma(T)^T H = H T, by going up the poset of stable modules: each stable
+sigma(T)^T H = H T and, over O_E, a hermitian H (both modulo p^(2e+1), see
+below), by going up the poset of stable modules: each stable
 L > M holds a closure M + O[T] v of some v in the p-layer of M, and it only
 depends on the residue-field line of v.  Over O_E it keeps to the lattices
 integral for h(v, w) = sigma(v)^T H w (L <= L^dual), which reach every
@@ -30,6 +31,14 @@ once as residues mod p^(2e+1), and a truncated input with fewer digits
 raises PrecisionExhausted rather than give a wrong lattice.  The layer
 vectors p^e v = S x / p are integral, as v lies in H^-1 O^m <= p^-e O^m.
 Lattice objects are built only for the lattices the walk returns.
+
+The precondition is checked on the same residues, and that is enough.  Let
+Delta = sigma(T)^T H - H T lie in p^(2e+1) M(O).  As H^-1 lies in
+p^-e M(O), H T H^-1 = sigma(T)^T - Delta H^-1 is integral, so H^-1 O^m and
+each M^dual stay T-stable; and every pairing error sigma(x)^T Delta y with
+x, y in p^-e O^m lies in p O, so the integrality test on h(v, T^k v) stays
+exact.  Likewise a hermitian H' = H mod p^(2e+1) has H'^-1 O^m = H^-1 O^m
+and the same pairings mod p on p^-e O^m.
 
 A structurally independent box enumeration backs the oracles; it shares no
 HNF with the walk.
@@ -405,24 +414,11 @@ def _lattice(S, R: _ResiduesF, cfg: FieldConfig, kind: str) -> Lattice:
     return Lattice(Matrix(cfg, rows), kind, canonical=True)
 
 
-def _f_matrix(A: Matrix) -> Matrix | None:
-    """A over F when no entry has a w-part (exactly), else None."""
-    if A.kind == "F":
-        return A
-    if any(not x.b.is_exact_zero() for row in A.entries for x in row):
-        return None
-    return Matrix(A.cfg, [[x.a for x in row] for row in A.entries])
-
-
-def _selfadjoint(T: Matrix, H: Matrix) -> bool:
-    """T and H integral with sigma(T)^T H = H T, exactly; over F when no entry
-    has a w-part, as sigma is then the identity."""
-    if not (T.is_integral() and H.is_integral()):
-        return False
-    Tf, Hf = _f_matrix(T), _f_matrix(H)
-    if Tf is None or Hf is None:
-        return (T.sigma_transpose() * H).agrees(H * T)
-    return (Tf.transpose() * Hf).agrees(Hf * Tf)
+def _adjoint_holds(A, B, R: _ResiduesF, mod: int) -> bool:
+    """sigma(A)^T B = B A modulo `mod`, for residue matrices A and B (rows)."""
+    Ac, Bc = list(zip(*A)), list(zip(*B))
+    return all(R.conj_dot(a_i, b_j, mod) == R.dot(b_row, a_j, mod)
+               for a_i, b_row in zip(Ac, B) for b_j, a_j in zip(Bc, Ac))
 
 
 # ----------------------------------------------------------------------
@@ -461,9 +457,14 @@ def enumerate_stable_between(T: Matrix, H: Matrix, bound_exp: int = 12):
     duplicate-free and sorted by key; over O_E (T with E entries) only the ones
     integral for h(v, w) = sigma(v)^T H w (L <= L^dual).
 
-    T and H must be integral with sigma(T)^T H = H T: then T O^m <= O^m, and
+    T and H must be integral with sigma(T)^T H = H T, and over O_E H must be
+    hermitian, sigma(H)^T = H (else ValueError): then T O^m <= O^m, and
     H T v = sigma(T)^T H v is integral for H v integral, so both bounds are
-    T-stable.  The walk goes up from O^m, extending each found M by the
+    T-stable.  Both identities are tested modulo p^(2e+1), e = val det H, on
+    the residues the walk reads, which is enough (module docstring): an error
+    Delta in p^(2e+1) M(O) moves H T H^-1 by Delta H^-1 in p^(e+1) M(O), and a
+    pairing of two vectors of p^-e O^m by an element of p O.
+    The walk goes up from O^m, extending each found M by the
     closures M + O[T] v of one v per line of its p-layer, the kernel of K mod p
     (see quotient_reps).  A wanted L > M meets that layer outside M, as
     L <= H^-1 O^m (and L <= L^dual <= M^dual), in a v whose closure lies in L;
@@ -482,16 +483,23 @@ def enumerate_stable_between(T: Matrix, H: Matrix, bound_exp: int = 12):
     is enough there, as H y = p^e H v is 0 mod p^e), and the closures from
     _hnf_mod.  The int tuple of S is the dedupe key.
     """
-    if not _selfadjoint(T, H):
-        raise ValueError("T and H must be integral, with sigma(T)^T H = H T")
+    message = "T and H must be integral, with sigma(T)^T H = H T"
+    if not (T.is_integral() and H.is_integral()):
+        raise ValueError(message)
     cfg, m, kind, quad = T.cfg, T.rows, T.kind, T.kind == "E"
     e = val_det(H)
     size = e * (2 if quad else 1)  # INF for a singular H
     if size > bound_exp:
         raise ExplosionGuard(f"quotient size p^{size} exceeds p^{bound_exp}")
     R = _residues(cfg, quad, e)
+    mod = cfg.p ** (2 * e + 1)
     Tr = [[R.lift(x, 2 * e + 1) for x in row] for row in T.entries]
     Hr = [[R.lift(x, 2 * e + 1) for x in row] for row in H.entries]
+    if not _adjoint_holds(Tr, Hr, R, mod):
+        raise ValueError(message)
+    one = [[R.one if i == j else R.zero for j in range(m)] for i in range(m)]
+    if quad and not _adjoint_holds(Hr, one, R, mod):  # sigma(H)^T 1 = 1 H
+        raise ValueError("H must be hermitian over O_E, sigma(H)^T = H")
     Hcols = list(zip(*Hr))
     pe, p2e = R.pe, cfg.p ** (2 * e)
     std = tuple(tuple(R.const(pe) if i == j else R.zero for i in range(m)) for j in range(m))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NotSplit, PrecisionExhausted, SingularSystem
-from .padic import INF, FieldConfig, PAdicScalar, QuadScalar, solve_norm_equation
+from .padic import INF, FieldConfig, PAdicScalar, QuadScalar, negligible, solve_norm_equation
 
 
 class Matrix:
@@ -151,13 +151,11 @@ class Matrix:
         return self.transpose().sigma()
 
     def is_hermitian(self, slack: int = 4) -> bool:
+        """sigma(A)^T = A: exactly for exact entries, else up to slack digits."""
         if self.rows != self.cols:
             return False
         d = self.sigma_transpose() - self
-        return all(
-            x.is_zero_at_precision() or x.valuation_lower_bound() >= _ref_prec(x) - slack
-            for row in d.entries for x in row
-        )
+        return all(negligible(x, slack) for row in d.entries for x in row)
 
     def is_integral(self) -> bool:
         return all(x.is_integral() for row in self.entries for x in row)
@@ -182,11 +180,6 @@ def _dot(xs, ys):
         term = x * y
         acc = term if acc is None else acc + term
     return acc
-
-
-def _ref_prec(x) -> float:
-    ap = x.abs_prec
-    return x.cfg.D if ap is INF else min(ap, x.cfg.D)
 
 
 # ----------------------------------------------------------------------
@@ -405,13 +398,16 @@ def hnf_basis(columns, cfg: FieldConfig, quad: bool = False):
     pivot_rows[j], entries above it vanish, and every entry below a pivot row
     i is digit-truncated modulo p^(k_i).  Two generating sets of the same
     module produce the identical (exact) matrix.  Full rank iff
-    len(pivot_rows) == ambient dimension.
+    len(pivot_rows) == ambient dimension.  The generators must be exact
+    (ValueError otherwise): a canonical form is a statement about every digit.
     """
     if not columns:
         raise ValueError("no generators")
     m = len(columns[0])
     promote = (lambda v: v if isinstance(v, (PAdicScalar, QuadScalar)) else cfg.scalar(v))
     cols = [[promote(x) for x in col] for col in columns]
+    if not all(x.is_exact for col in cols for x in col):
+        raise ValueError("hnf_basis takes exact generators only")
     if quad:
         z = cfg.zero()
         cols = [[x if isinstance(x, QuadScalar) else QuadScalar(x, z) for x in col] for col in cols]
@@ -422,30 +418,22 @@ def hnf_basis(columns, cfg: FieldConfig, quad: bool = False):
     for i in range(m):
         # pick pivot column: minimal valuation at row i, ties by column order
         best = None
-        fuzzy = False
         for idx, col in enumerate(active):
             x = col[i]
             if x.is_exact_zero():
-                continue
-            if x.is_zero_at_precision():
-                fuzzy = True
                 continue
             v = x.valuation()
             if best is None or v < best[0]:
                 best = (v, idx)
         if best is None:
-            if fuzzy:
-                raise PrecisionExhausted(f"rank undecidable at row {i}")
             continue  # no pivot in this row: lower-rank module
         v, idx = best
         col = active.pop(idx)
-        # normalize: divide by the unit part, snap pivot to exact p^v
+        # normalize: divide by the unit part, so the pivot is exactly p^v
         unit = _unit_part_scalar(col[i])
         uinv = unit.inv()
         col = [x * uinv for x in col]
-        col[i] = promote(Fraction(cfg.p) ** v) if not quad else QuadScalar(
-            cfg.scalar(Fraction(cfg.p) ** v), cfg.zero())
-        # eliminate row i from the remaining columns (difference is exactly zero)
+        # eliminate row i from the remaining columns, which end up exactly zero
         pinv = promote(Fraction(cfg.p) ** (-v)) if not quad else QuadScalar(
             cfg.scalar(Fraction(cfg.p) ** (-v)), cfg.zero())
         for other in active:
@@ -457,16 +445,7 @@ def hnf_basis(columns, cfg: FieldConfig, quad: bool = False):
             other[i] = exact_zero()
         fixed.append((i, col))
 
-    # drop exhausted generators; remaining active columns must be zero
-    for other in active:
-        for x in other:
-            if x.is_exact_zero():
-                continue
-            if x.is_zero_at_precision():
-                raise PrecisionExhausted("dependent generator not certifiably zero")
-            raise AssertionError("nonzero residual column after elimination")
-
-    # reduce below-diagonal entries mod the pivot of their row, snapping exact
+    # reduce below-diagonal entries mod the pivot of their row
     pivot_rows = [i for i, _ in fixed]
     cols_fixed = [col for _, col in fixed]
     kexp = {}
@@ -485,28 +464,8 @@ def hnf_basis(columns, cfg: FieldConfig, quad: bool = False):
             for r in range(i, m):
                 colj[r] = colj[r] - t * coli[r]
             colj[i] = red
-    # final snap: truncate every entry to an exact value (entries below the
-    # last pivot row of their column are already exact by the reductions)
-    out = []
-    for col in cols_fixed:
-        snapped = []
-        for r in range(m):
-            x = col[r]
-            if x.is_exact_zero() or x.is_exact:
-                snapped.append(x)
-            else:
-                # can only happen for rows without pivots (lower-rank case)
-                snapped.append(x.truncate_below(_entry_snap_bound(x)))
-        out.append(snapped)
-    mat = Matrix(cfg, [[out[j][i] for j in range(len(out))] for i in range(m)])
+    mat = Matrix(cfg, [[col[i] for col in cols_fixed] for i in range(m)])
     return mat, pivot_rows
-
-
-def _entry_snap_bound(x) -> int:
-    ap = x.abs_prec
-    if ap is INF:
-        return x.cfg.D
-    return int(ap)
 
 
 # ----------------------------------------------------------------------

@@ -540,13 +540,9 @@ class QuadScalar:
     __hash__ = None
 
     def f_part(self, slack: int = 4) -> PAdicScalar:
-        """Coerce to F, requiring the w-part to vanish at precision (slack digits)."""
-        if self.b.is_exact_zero():
-            return self.a
-        bound = self.b.valuation_lower_bound()
-        ref = self.b.abs_prec if not self.b.is_exact else self.cfg.D
-        if bound is not INF and bound < min(ref, self.cfg.D) - slack:
-            raise ValueError(f"w-part does not vanish: val >= {bound}")
+        """Coerce to F, requiring the w-part to vanish (see negligible)."""
+        if not negligible(self.b, slack):
+            raise ValueError(f"w-part does not vanish: {self.b!r}")
         return self.a
 
     def truncate_below(self, k: int) -> "QuadScalar":
@@ -558,6 +554,16 @@ class QuadScalar:
 
 # ----------------------------------------------------------------------
 # module-level operations
+
+
+def negligible(x, slack: int) -> bool:
+    """x (PAdicScalar or QuadScalar) is zero: exactly when x is exact, so an
+    exact input is never rounded; else to within `slack` digits of its
+    precision, capped at D."""
+    if x.is_exact:
+        return x.is_exact_zero()
+    return (x.is_zero_at_precision()
+            or x.valuation_lower_bound() >= min(x.abs_prec, x.cfg.D) - slack)
 
 
 def from_rational(num: int, den: int, cfg: FieldConfig) -> PAdicScalar:

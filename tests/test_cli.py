@@ -32,8 +32,7 @@ def test_verify_small_run(tmp_path, capsys):
     )
     assert code == 0
     report = json.loads(out.read_text())
-    assert report["summary"]["mismatches"] == 0
-    assert report["summary"]["total"] == 20
+    assert report["summary"] == {"total": 20, "mismatches": 0, "explosion_skips": 0}
     assert len(report["samples"]) == 20
     # injected vanishing points show up and vanish
     injected = [r for r in report["samples"] if not r["hermitian_exists"]]
@@ -61,10 +60,47 @@ def test_verify_bad_prime(capsys):
     assert "p must be an odd prime" in err
 
 
-def test_verify_precision_zero(capsys):
-    code, _, err = run_cli(capsys, "verify", "--precision", "0", "--samples", "1")
+def test_lemma1_precision_zero(capsys):
+    code, _, err = run_cli(capsys, "lemma1", "--precision", "0", "--samples", "1")
     assert code == 2
     assert "precision must be at least 8 digits" in err
+
+
+@pytest.mark.parametrize("fraction", ["1.5", "-1"])
+def test_verify_refuses_vanishing_fraction_outside_unit_interval(capsys, fraction):
+    code, out, err = run_cli(capsys, "verify", "--samples", "1",
+                             "--vanishing-fraction", fraction)
+    assert code == 2
+    assert out == ""
+    assert "--vanishing-fraction must lie in [0, 1]" in err
+
+
+def test_verify_n1_has_no_vanishing_points(capsys):
+    # every rss point of size 1 has a hermitian preimage: asking for vanishing
+    # points is a usage error, not a mathematical mismatch
+    code, out, err = run_cli(capsys, "verify", "--n", "1", "--samples", "4")
+    assert code == 2
+    assert out == ""
+    assert "--n 1 has no vanishing points" in err
+    code, out, _ = run_cli(capsys, "verify", "--n", "1", "--samples", "12",
+                           "--vanishing-fraction", "0")
+    assert code == 0
+    samples = json.loads(out)["samples"]
+    assert all(r["hermitian_exists"] and r["o_u"] == r["o_gl"] for r in samples)
+
+
+def test_exact_file_not_hermitian_is_refused(tmp_path, capsys):
+    # c = sigma(b) + 3^45 w: hermitian to 45 digits, but an exact input is
+    # compared exactly, whatever the working precision
+    mat = {"p": 3, "n": 2, "side": "u",
+           "entries": [["1", "1"], [f"1+{3 ** 45}*w", "0"]]}
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(mat))
+    for argv in (["orbit", "--side", "u", "--input", str(path)],
+                 ["invariants", "--input", str(path)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "not hermitian" in err
 
 
 def test_orbit_examples(tmp_path, capsys):
@@ -163,17 +199,20 @@ def test_invariants_and_represent_roundtrip(tmp_path, capsys):
 
 
 def test_orbit_on_represented_matrix(tmp_path, capsys):
-    # a recorded representative reproduces its orbital integrals
-    inv_path = tmp_path / "inv.json"
-    inv_path.write_text(json.dumps({"n": 2, "charpoly": ["-1", "-1"], "moments": ["0"]}))
-    code, out, _ = run_cli(capsys, "represent", "--side", "u", "--p", "3",
-                           "--u", "-1", "--input", str(inv_path))
-    assert code == 0
-    rep_path = tmp_path / "rep.json"
-    rep_path.write_text(out)
-    code, out, _ = run_cli(capsys, "orbit", "--side", "u", "--input", str(rep_path))
-    assert code == 0
-    assert json.loads(out)["value"] == 1
+    # a recorded representative reproduces its orbital integrals; at q = 7 the
+    # norm equation has no rational root, and the truncated representative is
+    # still written as an exactly hermitian matrix
+    for charpoly in (["-1", "-1"], ["-7", "0"]):
+        inv_path = tmp_path / "inv.json"
+        inv_path.write_text(json.dumps({"n": 2, "charpoly": charpoly, "moments": ["0"]}))
+        code, out, _ = run_cli(capsys, "represent", "--side", "u", "--p", "3",
+                               "--u", "-1", "--input", str(inv_path))
+        assert code == 0
+        rep_path = tmp_path / "rep.json"
+        rep_path.write_text(out)
+        code, out, _ = run_cli(capsys, "orbit", "--side", "u", "--input", str(rep_path))
+        assert code == 0, charpoly
+        assert json.loads(out)["value"] == 1
 
 
 def test_fourier_check(capsys):
@@ -244,11 +283,17 @@ def test_subcommands_refuse_options_they_do_not_read(tmp_path, capsys):
     for argv in (["orbit", "--side", "gl", "--input", str(path), "--p", "5"],
                  ["invariants", "--input", str(path), "--explosion-bound", "3"],
                  ["represent", "--side", "gl", "--input", str(path), "--n", "3"],
-                 ["fourier-check", "--precision", "20"]):
+                 ["fourier-check", "--precision", "20"],
+                 # nothing these three compute is truncated
+                 ["verify", "--samples", "1", "--precision", "20"],
+                 ["orbit", "--side", "gl", "--input", str(path), "--precision", "20"],
+                 ["invariants", "--input", str(path), "--precision", "20"]):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
     # precision is still validated where it is read
-    code, _, err = run_cli(capsys, "orbit", "--side", "gl", "--input", str(path),
+    inv_path = tmp_path / "inv.json"
+    inv_path.write_text(json.dumps({"n": 2, "charpoly": ["-1", "-1"], "moments": ["0"]}))
+    code, _, err = run_cli(capsys, "represent", "--side", "u", "--input", str(inv_path),
                            "--precision", "0")
     assert code == 2
     assert "precision must be at least 8 digits" in err
@@ -287,13 +332,13 @@ def test_csv_export(tmp_path, capsys):
 def test_env_precision(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FLLAB_PRECISION", "32")
     out = tmp_path / "r.json"
-    code, _, _ = run_cli(capsys, "verify", "--n", "2", "--samples", "3",
-                         "--seed", "2", "--out", str(out))
+    code, _, _ = run_cli(capsys, "lemma1", "--n", "2", "--samples", "3",
+                         "--seed", "2", "--height", "9", "--out", str(out))
     assert code == 0
     assert json.loads(out.read_text())["meta"]["precision"] == 32
     # explicit flag wins over the environment
-    code, _, _ = run_cli(capsys, "verify", "--n", "2", "--samples", "3",
-                         "--seed", "2", "--precision", "64", "--out", str(out))
+    code, _, _ = run_cli(capsys, "lemma1", "--n", "2", "--samples", "3",
+                         "--seed", "2", "--height", "9", "--precision", "64", "--out", str(out))
     assert code == 0
     assert json.loads(out.read_text())["meta"]["precision"] == 64
 

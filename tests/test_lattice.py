@@ -112,7 +112,7 @@ def test_enumerate_stable_between_examples():
 
 def _naive_stable(T, H):
     # the box O^m <= L <= H^-1 O^m filtered by T-stability
-    std = Lattice.standard(CFG3, H.rows)
+    std = Lattice.standard(H.cfg, H.rows)
     box = enumerate_all_between(std, std.dual(H))
     _check_val_det(box)
     return [L for L in box if stabilizes(T, L)]
@@ -157,6 +157,23 @@ def test_walk_refuses_non_selfadjoint():
         enumerate_stable_between(W, _scalar_form(1))
     with pytest.raises(ValueError):
         enumerate_selfdual_stable(W, _scalar_form(2))
+
+
+@pytest.mark.parametrize("rows,count", [([[9, 3], [0, 9]], 14), ([[9, 1], [0, 9]], 5),
+                                        ([[0, 9], [1, 0]], 3)])
+def test_walk_refuses_non_hermitian_form(rows, count):
+    # T = 1 is self-adjoint for every H; over O_E the walk also needs
+    # sigma(H)^T = H, without which it returned lattices that are not integral
+    H = Matrix.from_rows(CFG3, rows)
+    T = Matrix.identity(CFG3, 2)
+    with pytest.raises(ValueError):
+        enumerate_stable_between(T.to_quad(), H)
+    with pytest.raises(ValueError):
+        enumerate_selfdual_stable(T, H)
+    # over O_F the form need not be symmetric
+    walk = enumerate_stable_between(T, H)
+    assert len(walk) == count
+    assert [L.key() for L in walk] == [L.key() for L in _naive_stable(T, H)]
 
 
 def test_enumerate_selfdual_examples():
@@ -306,6 +323,20 @@ def test_walk_reads_truncated_inputs(p, rows, count):
         assert [L.key() for L in cut] == exact
         with pytest.raises(PrecisionExhausted):
             enumerate_stable_between(_truncated(T, 2 * e + 1), _truncated(H, 2 * e))
+
+
+@pytest.mark.parametrize("p,rows,count", KRYLOV_POINTS)
+def test_walk_checks_its_precondition_on_residues(p, rows, count):
+    # T = C + p^(2e+1) N is self-adjoint for H mod p^(2e+1) but not exactly;
+    # the walk reads T and H only to that many digits, and its answers are
+    # those of the box filtered by the definitions, on both sides
+    C, H = _krylov_pair(p, rows)
+    e = val_det(H)
+    T = C + Matrix.from_rows(C.cfg, [[0, p ** (2 * e + 1)], [0, 0]])
+    assert not (T.transpose() * H).agrees(H * T)
+    walk = enumerate_stable_between(T, H)
+    assert [L.key() for L in walk] == [L.key() for L in _naive_stable(T, H)]
+    assert len(_walk_matches_box(T.to_quad(), H)) == count
 
 
 def _column_key(mat):

@@ -15,7 +15,7 @@ from fllab.linalg import (
     solve_linear,
     val_det,
 )
-from fllab.padic import FieldConfig
+from fllab.padic import FieldConfig, PAdicScalar, QuadScalar
 
 CFG3 = FieldConfig(3, -1)
 CFG5 = FieldConfig(5, 2)
@@ -164,6 +164,25 @@ def test_hnf_lower_rank_flagged():
     mat, pivots = hnf_basis([[0, 1]], CFG3)
     assert pivots == [1]
     assert mat.cols == 1
+
+
+def test_hnf_refuses_truncated_generators():
+    cut = PAdicScalar.inexact(CFG3, 0, 1, 20)
+    with pytest.raises(ValueError):
+        hnf_basis([[cut, CFG3.scalar(0)], [CFG3.scalar(0), CFG3.scalar(1)]], CFG3)
+
+
+def test_is_hermitian_exact_on_exact_entries():
+    # [[1, 1], [1 + 3^k w, 0]] over E: exact entries are compared exactly
+    for k in (15, 45, 80):
+        A = Matrix(CFG3, [[CFG3.quad(1, 0), CFG3.quad(1, 0)],
+                          [CFG3.quad(1, 3 ** k), CFG3.quad(0, 0)]])
+        assert not A.is_hermitian()
+    assert Matrix(CFG3, [[CFG3.quad(1, 0), CFG3.quad(1, 1)],
+                         [CFG3.quad(1, -1), CFG3.quad(0, 0)]]).is_hermitian()
+    # truncated entries keep the slack of 4 digits
+    t = QuadScalar(CFG3.scalar(1), PAdicScalar.inexact(CFG3, 46, 1, 48))
+    assert Matrix(CFG3, [[CFG3.quad(1, 0), CFG3.quad(1, 0)], [t, CFG3.quad(0, 0)]]).is_hermitian()
 
 
 def test_solve_examples():

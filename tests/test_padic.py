@@ -122,6 +122,19 @@ def test_sigma_involution_and_trace_norm(an, ad, bn, bd):
     assert prod.f_part() == x.norm()
 
 
+def test_f_part_compares_exact_values_exactly():
+    # an exact w-part must be 0, however deep its valuation and whatever D is
+    for k in (15, 45, 80):
+        with pytest.raises(ValueError):
+            QuadScalar(CFG3.scalar(1), CFG3.scalar(3 ** k)).f_part()
+    assert CFG3.quad(5, 0).f_part() == 5
+    # a truncated w-part keeps its slack: zero to 4 digits of its precision
+    one = CFG3.scalar(1)
+    assert QuadScalar(one, PAdicScalar.inexact(CFG3, 46, 1, 48)).f_part() == 1
+    with pytest.raises(ValueError):
+        QuadScalar(one, PAdicScalar.inexact(CFG3, 40, 1, 48)).f_part()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     xn=st.integers(-500, 500),
