@@ -2,7 +2,8 @@
 
 Subcommands: verify, orbit, invariants, represent, fourier-check, lemma1.
 Exit codes: 0 success, 1 mathematical mismatch / failed identity,
-2 usage or parse error, 3 precision exhausted (represent and lemma1 only).
+2 usage or parse error (sampling exhausted included: the options admit no
+sample), 3 precision exhausted (represent and lemma1 only).
 
 Every input is an exact rational, and verify, orbit and invariants compute
 exactly: a matrix file that is not exactly hermitian is refused, not rounded.
@@ -34,6 +35,7 @@ from .errors import (
     NoHermitianOrbit,
     NotRss,
     PrecisionExhausted,
+    SamplingExhausted,
 )
 from .geometry import (
     GlnElement,
@@ -79,7 +81,7 @@ def _sample_vanishing_point(n, cfg, height, rng) -> InvariantPoint:
         a = invariants_of(y)
         if not a.hermitian_exists():
             return a
-    raise FLLabError("could not sample a vanishing point")
+    raise SamplingExhausted("could not sample a vanishing point")
 
 
 def _run_one_sample(index: int, cfg, args: argparse.Namespace):
@@ -297,8 +299,7 @@ def cmd_lemma1(args: argparse.Namespace) -> int:
     while done < args.samples:
         attempts += 1
         if attempts > 200 * args.samples:
-            print("error: sampling exhausted", file=sys.stderr)
-            return 3
+            raise SamplingExhausted("no unit-q rss sample found")
         x = sample_hermitian(args.n, cfg, args.height, rng)
         if not is_rss(x):
             continue
@@ -401,14 +402,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        # validate p, u, precision and the counts, where registered, before any work
+        # validate p, u, precision and the integer options, where registered,
+        # before any work
         if "precision" in ns:
             ns.precision = _resolve_precision(ns)
         if "p" in ns:
             field_config(ns)
-        for count in ("samples", "trials"):
-            if getattr(ns, count, 1) < 1:
-                raise ValueError(f"--{count} must be at least 1")
+        for name, least in (("samples", 1), ("trials", 1), ("height", 1),
+                            ("explosion_bound", 0)):
+            if getattr(ns, name, least) < least:
+                raise ValueError(f"--{name.replace('_', '-')} must be at least {least}")
     except (ValueError, FLLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -431,6 +434,9 @@ def main(argv=None) -> int:
     except PrecisionExhausted as exc:
         print(f"error: precision exhausted: {exc}", file=sys.stderr)
         return 3
+    except SamplingExhausted as exc:
+        print(f"error: sampling exhausted: {exc}", file=sys.stderr)
+        return 2
     except FLLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

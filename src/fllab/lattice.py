@@ -127,13 +127,15 @@ class Lattice:
     # -- membership and comparison -----------------------------------------
 
     def coords(self, v):
-        """Coordinates of v against the (lower-triangular) canonical basis."""
+        """Coordinates of v against the (lower-triangular) canonical basis, by
+        forward substitution; its diagonal entries are the powers p^(k_j)."""
         B = self.basis
         m = self.rank
+        p = Fraction(self.cfg.p)
         out = []
         rem = list(v)
         for j in range(m):
-            xj = rem[j] / B[j, j]
+            xj = rem[j] * p ** -int(B[j, j].valuation())
             out.append(xj)
             for i in range(j + 1, m):
                 rem[i] = rem[i] - xj * B[i, j]
@@ -172,11 +174,6 @@ class Lattice:
         """Gram matrix of the pairing of dual() on the basis."""
         return self._pairing_rows(form) * self.basis
 
-    def is_selfdual(self) -> bool:
-        """L = L^dual: the Gram matrix is integral (L <= L^dual) and unimodular."""
-        G = self.gram()
-        return G.is_integral() and val_det(G) == 0
-
 
 class ModuleBasis:
     """Canonical basis of a possibly lower-rank O-module (flagged)."""
@@ -200,12 +197,9 @@ def module_closure(T: Matrix, v, kind: str = "F") -> ModuleBasis:
     """Canonical basis of span_O(v, Tv, ..., T^{m-1}v); full rank iff v is cyclic."""
     if all(x.is_exact_zero() for x in v):
         raise ZeroModule("closure of the zero vector")
-    m = T.rows
-    cols = []
-    w = list(v)
-    for _ in range(m):
-        cols.append(list(w))
-        w = T.apply(w)
+    cols = [list(v)]
+    for _ in range(T.rows - 1):
+        cols.append(T.apply(cols[-1]))
     mat, pivots = hnf_basis(cols, T.cfg, quad=(kind == "E"))
     return ModuleBasis(mat, pivots, kind)
 
@@ -228,10 +222,10 @@ class _ResiduesF:
         self.p, self.u, self.e = p, u, e
         self.pe = p**e
 
-    def lift(self, x, k: int):
-        """Residue mod p^k of the integral scalar x (PrecisionExhausted if it has
-        fewer digits)."""
-        return x.lift_scaled(0, k)
+    def lift(self, x, k: int, base: int = 0):
+        """Residue mod p^(k - base) of p^-base x, for x of valuation >= base
+        (PrecisionExhausted if it has fewer digits than p^k)."""
+        return x.lift_scaled(base, k)
 
     def scalar(self, x, cfg: FieldConfig, den: int = 1):
         return PAdicScalar.exact(cfg, Fraction(x, den))
@@ -279,10 +273,10 @@ class _ResiduesE(_ResiduesF):
 
     zero, one = (0, 0), (1, 0)
 
-    def lift(self, x, k: int):
+    def lift(self, x, k: int, base: int = 0):
         if isinstance(x, QuadScalar):
-            return x.a.lift_scaled(0, k), x.b.lift_scaled(0, k)
-        return x.lift_scaled(0, k), 0
+            return x.a.lift_scaled(base, k), x.b.lift_scaled(base, k)
+        return x.lift_scaled(base, k), 0
 
     def scalar(self, x, cfg: FieldConfig, den: int = 1):
         return QuadScalar(PAdicScalar.exact(cfg, Fraction(x[0], den)),
@@ -542,10 +536,10 @@ def enumerate_selfdual_stable(T: Matrix, H: Matrix, bound_exp: int = 12):
 
 
 def _in_digit_span(cols, ks, y, R: _ResiduesF) -> bool:
-    """y in D O^m for the triangular digit matrix D (columns, diagonal p^(k_j),
-    sum k_j <= e), by forward substitution mod p^e: D O^m holds p^e O^m, so
-    taking column j off y as often as row j allows keeps y in D O^m or out of
-    it, and rows that are 0 mod p^e are in D O^m."""
+    """y in D O^m for the triangular digit matrix D (columns, diagonal p^(k_j))
+    whose span holds p^e O^m (p^e = R.pe, as when sum k_j <= e), by forward
+    substitution mod p^e: taking column j off y as often as row j allows keeps
+    y in D O^m or out of it, and rows that are 0 mod p^e are in D O^m."""
     y = list(y)
     for j, col in enumerate(cols):
         d = R.p ** ks[j]
@@ -557,35 +551,41 @@ def _in_digit_span(cols, ks, y, R: _ResiduesF) -> bool:
     return True
 
 
-def enumerate_all_between(L0: Lattice, L1: Lattice, max_quotient_exp: int = 8):
-    """Every lattice between L0 and L1, by direct generation of canonical
-    triangular matrices relative to L1 (no stability logic).
+def enumerate_all_between(L0: Lattice, L1: Lattice, max_quotient_exp: int = 8,
+                          det_exp: int | None = None) -> list:
+    """Every lattice L0 <= L <= L1, as its canonical digit matrix D relative to
+    L1 (L = L1 D), by direct generation with no stability logic; with det_exp,
+    only the L with val det L = det_exp.  Empty when L0 is not in L1.
 
-    Diagonal exponents are chosen first (so the canonical below-diagonal
-    ranges (i, j) -> [0, p^{k_i}) are known), then each candidate digit matrix
-    D is filtered in integers by containment of L0 in L1 D, read from the
-    coordinates of L0 in L1 mod p^e (e = val det L0 - val det L1); only the
-    survivors are mapped back and put in canonical form by hnf_basis.  Each
-    lattice in the box appears exactly once.
+    Each D is returned as (ks, cols): lower triangular integer columns with
+    diagonal p^(k_j) and entries (i, j) below it in [0, p^(k_i)), ints over O_F
+    and pairs (a, b) for a + b w over O_E.  Diagonal exponents are chosen first
+    (sum k_j = [L1 : L] <= e, e = val det L0 - val det L1, and = det_exp -
+    val det L1 when det_exp is given), then each D is kept when L0 <= L1 D,
+    read from the coordinates of L0 in L1 mod p^e (L1 D holds p^e L1).  Each
+    lattice in the box appears exactly once.  ExplosionGuard bounds the whole
+    box, p^e (p^(2e) over O_E), before any D is built.
     """
-    if not L1.contains_lattice(L0):
-        raise ValueError("L0 must be contained in L1")
+    rel = [L1.coords(L0.basis.col(j)) for j in range(L0.rank)]
+    if not all(x.is_integral() for y in rel for x in y):
+        return []
     e = L0.val_det() - L1.val_det()
     mult = 2 if L0.kind == "E" else 1
     if mult * e > max_quotient_exp:
         raise ExplosionGuard(f"box quotient p^{mult * e} too large")
     m = L0.rank
-    cfg = L0.cfg
-    p = cfg.p
-    R = _residues(cfg, L0.kind == "E", e)
-    rel_L0 = [[R.lift(x, e) for x in L1.coords(L0.basis.col(j))] for j in range(m)]
+    p = L0.cfg.p
+    R = _residues(L0.cfg, L0.kind == "E", e)
+    rel_L0 = [[R.lift(x, e) for x in y] for y in rel]
 
     # diagonal exponent vectors with sum <= e (det divisibility bound)
     kvecs = [[]]
     for _ in range(m):
         kvecs = [kv + [k] for kv in kvecs for k in range(e + 1) if sum(kv) + k <= e]
+    if det_exp is not None:
+        kvecs = [kv for kv in kvecs if sum(kv) == det_exp - L1.val_det()]
 
-    out = {}
+    out = []
     for kv in kvecs:
         # columns j = 0..m-1, entry (i, j) for i > j ranges mod p^{k_i}
         cols_choices = [[]]
@@ -597,10 +597,6 @@ def enumerate_all_between(L0: Lattice, L1: Lattice, max_quotient_exp: int = 8):
                 variants = [c[:i] + [x] + c[i + 1:]
                             for c in variants for x in R.digits(p ** kv[i])]
             cols_choices = [cc + [c] for cc in cols_choices for c in variants]
-        for cols in cols_choices:
-            if not all(_in_digit_span(cols, kv, y, R) for y in rel_L0):
-                continue
-            gens = [L1.basis.apply([R.scalar(x, cfg) for x in col]) for col in cols]
-            L = Lattice.from_generators(gens, cfg, L0.kind)
-            out[L.key()] = L
-    return sorted(out.values(), key=lambda L: L.key())
+        out.extend((kv, cols) for cols in cols_choices
+                   if all(_in_digit_span(cols, kv, y, R) for y in rel_L0))
+    return out

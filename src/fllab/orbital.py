@@ -26,11 +26,15 @@ with the index sign of the Krylov basis into (-1)^(val det H):
 A structurally independent oracle re-derives both counts in the element's
 own coordinates: it enumerates every lattice L in a bounded box, with no
 stability logic, and tests diag(g, 1) . Y . diag(g, 1)^-1 for entrywise
-integrality with g = B^-1 for the canonical basis B of L.  The coset
-representatives attached to L are the k . B^-1 with k in GL_{n-1}(O) (on the
-unitary side, the unitary ones among them), and multiplying g on the left by
-such a k does not change whether the conjugate is integral, so any basis of
-L gives the same answer and the oracle needs exact arithmetic only.
+integrality with g = B^-1 for a basis B of L.  The coset representatives
+attached to L are the k . B^-1 with k in GL_{n-1}(O) (on the unitary side,
+the unitary ones among them), and multiplying g on the left by such a k does
+not change whether the conjugate is integral, so any basis of L gives the
+same answer and the oracle needs exact arithmetic only.  It takes
+B = L1 D, for the integer digit matrix D of L relative to the top L1 of the
+box: the exact work is done once per element, and each lattice is tested on
+residues, mod p^(e+s) for the conjugate and mod p^t for the Gram matrix
+(see orbital_oracle for why those moduli decide the tests).
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from .geometry import (
     GlnElement,
     HnElement,
     InvariantPoint,
-    _embed,
     block_q,
     gl_representative,
     invariants_of,
@@ -51,6 +54,8 @@ from .geometry import (
     transfer_sign,
 )
 from .lattice import (
+    _in_digit_span,
+    _residues,
     enumerate_all_between,
     enumerate_selfdual_stable,
     enumerate_stable_between,
@@ -146,13 +151,27 @@ def orbital_gl_unit(Y: GlnElement, bound_exp: int = 12) -> OrbitalResult:
 def orbital_oracle(side: str, elt, max_exp: int = 4) -> int:
     """Same value by direct enumeration of the lattices in a bounded box.
 
-    The box runs from Lmin = O[X']b up to the hermitian dual of Lmin on the
-    unitary side, and up to the dual of the row Krylov lattice of c on the
-    general-linear side.  Each L in it (self-dual ones only on the unitary
-    side) counts 1, or its index sign on the general-linear side, when
-    diag(B^-1, 1) . elt . diag(B, 1) is integral for its basis B; any basis
-    of L gives the same answer (see the module docstring).  Supported for
-    rank n-1 <= 2 and small boxes.
+    The box runs from Lmin = O[X']b up to L1 = Lmin^dual (standard hermitian
+    form) on the unitary side, and up to the dual of the row Krylov lattice of
+    c on the general-linear side.  Each L in it (self-dual ones only on the
+    unitary side) counts 1, or its index sign on the general-linear side, when
+    diag(B^-1, 1) . elt . diag(B, 1) is integral for a basis B of L; any basis
+    gives the same answer (see the module docstring), and the oracle takes
+    B = L1 D for the integer digit matrix D of L relative to L1.  Supported for
+    rank n-1 <= 2 and small boxes; ExplosionGuard bounds the whole box.
+
+    Both tests run on residues.  Once per element, Y1 = diag(L1^-1, 1) . elt .
+    diag(L1, 1) is formed exactly (substitution down the triangular basis of
+    L1), s >= 0 is least with p^s Y1 integral, and Z = p^s Y1 is kept mod
+    p^(e+s), e = [L1 : Lmin].  With M = diag(D, 1) the conjugate M^-1 Y1 M is
+    integral iff every column of Z M lies in p^s M O^n, whose diagonal
+    exponents are k_j + s and s; that lattice holds p^(e+s) O^n, as D O^m holds
+    p^(sum k_j) O^m and sum k_j <= e, so membership is decided mod p^(e+s) by
+    forward substitution.  Unitary side: L is self-dual iff its Gram matrix
+    sigma(D)^T G1 D, G1 = sigma(L1)^T L1, is integral and val det L = 0, i.e.
+    [L : Lmin] = e/2 (the box yields only those).  With t >= 0 least such
+    that p^t G1 is integral, the first condition reads
+    sigma(D)^T (p^t G1) D = 0 mod p^t, from p^t G1 mod p^t.
     """
     if not isinstance(elt, HnElement if side == "u" else GlnElement):
         raise SideError(f"oracle side {side!r} does not take a {type(elt).__name__}")
@@ -163,26 +182,50 @@ def orbital_oracle(side: str, elt, max_exp: int = 4) -> int:
         entry = elt.mat[0, 0]
         entry = entry.f_part() if side == "u" else entry
         return 1 if entry.is_integral() else 0
+    m, quad = n - 1, side == "u"
     Xp = elt.corner()
-    Lmin = module_closure(Xp, elt.b_col(), kind="E" if side == "u" else "F").to_lattice()
-    if side == "u":
-        Lmax = Lmin.dual()
+    Lmin = module_closure(Xp, elt.b_col(), kind="E" if quad else "F").to_lattice()
+    if quad:
+        L1 = Lmin.dual()
     else:
         # {v : c X'^k v in O for all k} = dual of the Krylov span of the row c
         rows = module_closure(Xp.transpose(), list(elt.c_row()), kind="F")
         if not rows.full_rank:
             raise NotRss("row Krylov space degenerate despite rss test")
-        Lmax = rows.to_lattice().dual()
-    if not Lmax.contains_lattice(Lmin):
+        L1 = rows.to_lattice().dual()
+    # a self-dual L has val det 0
+    box = enumerate_all_between(Lmin, L1, max_exp, det_exp=0 if quad else None)
+    if not box:
         return 0
+    v1 = L1.val_det()
+    e = Lmin.val_det() - v1
+    # columns of Y1 = (L1^-1 X' L1, L1^-1 b; c L1, lambda)
+    XB, cB = Xp * L1.basis, Matrix(elt.cfg, [elt.c_row()]) * L1.basis
+    Y1 = [L1.coords(XB.col(j)) + [cB[0, j]] for j in range(m)]
+    Y1.append(L1.coords(elt.b_col()) + [elt.mat[m, m]])
+    s = max(0, -min(x.valuation() for col in Y1 for x in col))
+    R = _residues(elt.cfg, quad, e + s)
+    Z = list(zip(*([R.lift(x, e, -s) for x in col] for col in Y1)))  # rows, mod p^(e+s)
+    ps = R.const(elt.cfg.p ** s)
+    last = [R.zero] * m + [R.one]
+    if quad:
+        G1 = L1.gram()
+        t = max(0, -min(x.valuation() for row in G1.entries for x in row))
+        pt = elt.cfg.p ** t
+        Gt = [[R.lift(x, 0, -t) for x in row] for row in G1.entries]  # p^t G1 mod p^t
     total = 0
-    for L in enumerate_all_between(Lmin, Lmax, max_quotient_exp=max_exp):
-        if side == "u" and not L.is_selfdual():
-            continue
-        B = L.basis
-        if (_embed(inverse(B), n) * elt.mat * _embed(B, n)).is_integral():
-            total += 1 if side == "u" else L.index_sign()
-    return total if side == "u" else transfer_sign(elt).omega * total
+    for ks, D in box:
+        if quad and t:
+            GD = [[R.dot(row, d, pt) for row in Gt] for d in D]
+            if any(R.conj_dot(di, gd, pt) != R.zero for di in D for gd in GD):
+                continue
+        M = [list(d) + [R.zero] for d in D] + [last]  # columns of diag(D, 1)
+        pM = [[R.mul(ps, x, R.pe) for x in col] for col in M]
+        pks = [k + s for k in ks] + [s]
+        if all(_in_digit_span(pM, pks, [R.dot(row, col, R.pe) for row in Z], R)
+               for col in M):
+            total += 1 if quad else -1 if (v1 + sum(ks)) % 2 else 1
+    return total if quad else transfer_sign(elt).omega * total
 
 
 # ----------------------------------------------------------------------

@@ -276,6 +276,34 @@ def test_campaigns_refuse_no_samples(capsys, command, samples):
     assert "--samples must be at least 1" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["lemma1", "--samples", "1", "--height", "0"], "--height must be at least 1"),
+    (["verify", "--samples", "2", "--height", "0"], "--height must be at least 1"),
+    (["lemma1", "--height", "-3"], "--height must be at least 1"),
+    (["verify", "--explosion-bound", "-1"], "--explosion-bound must be at least 0"),
+])
+def test_campaigns_refuse_bad_height_and_bound(capsys, argv, message):
+    # refused as usage errors before any sampling: height 0 makes every
+    # sampled matrix 0, and a negative bound would skip every sample
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_sampling_exhausted_is_a_usage_error(capsys, monkeypatch):
+    # no draw is rss: every sampler of verify and lemma1 gives up
+    from fllab import cli, geometry
+
+    for module in (cli, geometry):
+        monkeypatch.setattr(module, "is_rss", lambda x: False)
+    for argv in (["verify"], ["verify", "--vanishing-fraction", "0"], ["lemma1"]):
+        code, out, err = run_cli(capsys, *argv, "--samples", "1", "--n", "2")
+        assert code == 2, argv
+        assert out == ""
+        assert "sampling exhausted" in err
+
+
 def test_subcommands_refuse_options_they_do_not_read(tmp_path, capsys):
     mat = {"p": 3, "n": 2, "side": "gl", "entries": [["1", "1"], ["9", "0"]]}
     path = tmp_path / "y.json"

@@ -110,10 +110,19 @@ def test_enumerate_stable_between_examples():
     assert len(got) == 4
 
 
+def _box(L0, L1):
+    # the box's digit matrices D as the Lattices L1 D, sorted by key
+    R = _residues(L1.cfg, L1.kind == "E", 0)
+    box = [Lattice.from_generators([L1.basis.apply([R.scalar(x, L1.cfg) for x in col])
+                                    for col in cols], L1.cfg, L1.kind)
+           for _, cols in enumerate_all_between(L0, L1)]
+    return sorted(box, key=Lattice.key)
+
+
 def _naive_stable(T, H):
     # the box O^m <= L <= H^-1 O^m filtered by T-stability
     std = Lattice.standard(H.cfg, H.rows)
-    box = enumerate_all_between(std, std.dual(H))
+    box = _box(std, std.dual(H))
     _check_val_det(box)
     return [L for L in box if stabilizes(T, L)]
 
@@ -193,7 +202,7 @@ def test_enumerate_selfdual_rank2_matches_filter():
     T = Matrix.identity(CFG3, 2, quad=True)
     got = enumerate_selfdual_stable(T, H)
     std = Lattice.standard(CFG3, 2, kind="E")
-    box = enumerate_all_between(std, std.dual(H))
+    box = _box(std, std.dual(H))
     _check_val_det(box)
     naive = [L for L in box if L.dual(H) == L and stabilizes(T, L)]
     assert [L.key() for L in got] == [L.key() for L in naive]
@@ -272,7 +281,7 @@ def _walk_matches_box(T, H):
     # the pruned walk (one vector per line, integral lattices only) against the
     # box filtered by the definitions; returns the self-dual lattices
     std = Lattice.standard(H.cfg, H.rows, kind="E")
-    box = enumerate_all_between(std, std.dual(H))
+    box = _box(std, std.dual(H))
     _check_val_det(box)
     integral = [L for L in box if stabilizes(T, L) and L.gram(H).is_integral()]
     walk = enumerate_stable_between(T, H)

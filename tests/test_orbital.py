@@ -3,20 +3,24 @@ from fractions import Fraction
 
 import pytest
 
-from fllab.errors import NotRss, OracleTooLarge, SideError
+from fllab.errors import ExplosionGuard, NotRss, OracleTooLarge, SideError
 from fllab.geometry import (
     GlnElement,
     HnElement,
     InvariantPoint,
+    _embed,
     block_q,
     gl_representative,
     invariants_of,
+    is_rss,
     random_gl,
     random_unitary,
     sample_hermitian,
     sample_matched_pair,
+    transfer_sign,
 )
-from fllab.linalg import Matrix, val_det
+from fllab.lattice import Lattice, _residues, enumerate_all_between, module_closure
+from fllab.linalg import Matrix, inverse, val_det
 from fllab.orbital import (
     fl_compare,
     lemma1_check,
@@ -147,6 +151,83 @@ def test_oracle_agreement_u(n):
     assert done >= 50
 
 
+def _reference_oracle(side, elt, max_exp):
+    # orbital_oracle over Fraction-backed scalars: each box lattice L = L1 D as
+    # a Lattice with canonical basis B, the gram test for L = L^dual, then
+    # integrality of diag(B^-1, 1) . elt . diag(B, 1).  Also returns which of
+    # s > 0 (Y1 not integral), t > 0 (gram of L1 not integral) and a
+    # non-integral lambda hold, when the box is not empty
+    n, quad = elt.n, side == "u"
+    Xp = elt.corner()
+    Lmin = module_closure(Xp, elt.b_col(), kind="E" if quad else "F").to_lattice()
+    L1 = (Lmin.dual() if quad
+          else module_closure(Xp.transpose(), elt.c_row()).to_lattice().dual())
+    R = _residues(elt.cfg, quad, 0)
+    box = enumerate_all_between(Lmin, L1, max_exp)
+    total = 0
+    for _, cols in box:
+        gens = [L1.basis.apply([R.scalar(x, elt.cfg) for x in col]) for col in cols]
+        L = Lattice.from_generators(gens, elt.cfg, L1.kind)
+        G = L.gram()
+        if quad and not (G.is_integral() and val_det(G) == 0):
+            continue
+        B = L.basis
+        if (_embed(inverse(B), n) * elt.mat * _embed(B, n)).is_integral():
+            total += 1 if quad else L.index_sign()
+    Y1 = _embed(inverse(L1.basis), n) * elt.mat * _embed(L1.basis, n)
+    traits = {name for name, holds in (("s", not Y1.is_integral()),
+                                       ("t", not L1.gram().is_integral()),
+                                       ("lam", not elt.lam().is_integral())) if holds}
+    return (total if quad else transfer_sign(elt).omega * total), (traits if box else set())
+
+
+def _reference_instances(side, n, cfg, rng):
+    # entries a p^i / p^j of height 5, i in {0, 1}, and j in {0, 1} in the
+    # last row and column, j = 0 in the corner; b gets one more factor p,
+    # which deepens the box (e = 4 at n = 3, where lattices of index e/2 that
+    # are not self-dual appear)
+    p = cfg.p
+
+    def entry(i, j):
+        den = p ** rng.choice((0, 0, 1)) if n - 1 in (i, j) else 1
+        x = Fraction(rng.randint(-5, 5) * p ** rng.choice((0, 0, 1)), den)
+        return x * p if j == n - 1 and i < n - 1 else x
+
+    while True:
+        if side == "u":
+            rows = [[None] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    x = cfg.quad(entry(i, j), entry(i, j) if i != j else 0)
+                    rows[i][j], rows[j][i] = x, x.sigma()
+            elt = HnElement(Matrix(cfg, rows), check=False)
+        else:
+            elt = GlnElement(Matrix.from_rows(cfg, [[entry(i, j) for j in range(n)]
+                                                    for i in range(n)]))
+        if is_rss(elt):
+            yield elt
+
+
+@pytest.mark.parametrize("side", ["u", "gl"])
+@pytest.mark.parametrize("n,cfg", [(2, CFG3), (3, CFG3), (2, CFG5), (3, CFG5)])
+def test_oracle_matches_reference(side, n, cfg):
+    # the residue tests of orbital_oracle against the old Fraction route
+    rng = random.Random(f"{side}{n}{cfg.p}")
+    max_exp = 8 if cfg.p == 3 else 4
+    seen, done = set(), 0
+    for elt in _reference_instances(side, n, cfg, rng):
+        try:
+            expected, traits = _reference_oracle(side, elt, max_exp)
+        except ExplosionGuard:
+            continue
+        assert orbital_oracle(side, elt, max_exp) == expected
+        seen |= traits
+        done += 1
+        if done >= 30:
+            break
+    assert seen >= ({"s", "t", "lam"} if side == "u" else {"s", "lam"})
+
+
 def test_conjugation_invariance():
     rng = random.Random(77)
     for n in (2, 3):
@@ -189,6 +270,25 @@ def test_fl_compare_count_three():
     assert (r.o_u, r.o_gl) == (3, 3)
     assert orbital_oracle("u", X, 8) == 3
     assert orbital_oracle("gl", gl_representative(a)) == 3
+
+
+@pytest.mark.parametrize("rows,count", [
+    ([[(2, 0), (3, -6), (0, -3)], [(3, 6), (-1, 0), (9, 0)], [(0, 3), (9, 0), (0, 0)]], 4),
+    ([[(-2, 0), (-6, -3), (18, -27)], [(-6, 3), (-2, 0), (-9, 3)],
+      [(18, 27), (-9, -3), (0, 0)]], 7),
+    ([[(1, 0), (9, 18), (-3, 3)], [(9, -18), (1, 0), (-9, 18)],
+      [(-3, -3), (-9, -18), (-3, 0)]], 13),
+])
+def test_oracles_reach_deep_counts(rows, count):
+    # integral n=3, p=3 points (w^2 = 2) of Hankel val det 6-8: both box
+    # oracles against the walk
+    cfg = FieldConfig(3, 2)
+    X = HnElement(Matrix(cfg, [[cfg.quad(*e) for e in row] for row in rows]))
+    a = invariants_of(X)
+    r = fl_compare(a, 16)
+    assert (r.o_u, r.o_gl) == (count, count)
+    assert orbital_oracle("u", X, 16) == count
+    assert orbital_oracle("gl", gl_representative(a), 8) == count
 
 
 @pytest.mark.parametrize("rows,count", [
