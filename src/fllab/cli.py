@@ -219,7 +219,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     if not is_rss(elt):
         print("error: not relatively regular semi-simple", file=sys.stderr)
         return 1
-    oracle = orbital_oracle(side, elt) if args.oracle else None
+    oracle = orbital_oracle(side, elt, args.explosion_bound) if args.oracle else None
     if side == "u":
         res = orbital_u_unit(elt, args.explosion_bound)
     else:

@@ -585,18 +585,17 @@ def enumerate_all_between(L0: Lattice, L1: Lattice, max_quotient_exp: int = 8,
     if det_exp is not None:
         kvecs = [kv for kv in kvecs if sum(kv) == det_exp - L1.val_det()]
 
+    # entries (i, j) below the diagonal, column by column and down each column,
+    # range mod p^{k_i}; the candidates come one at a time, the last entry
+    # varying fastest, and only the kept ones are stored
+    starts = [j * (2 * m - j - 1) // 2 for j in range(m + 1)]
     out = []
     for kv in kvecs:
-        # columns j = 0..m-1, entry (i, j) for i > j ranges mod p^{k_i}
-        cols_choices = [[]]
-        for j in range(m):
-            col_base = [R.zero] * m
-            col_base[j] = R.const(p ** kv[j])
-            variants = [col_base]
-            for i in range(j + 1, m):
-                variants = [c[:i] + [x] + c[i + 1:]
-                            for c in variants for x in R.digits(p ** kv[i])]
-            cols_choices = [cc + [c] for cc in cols_choices for c in variants]
-        out.extend((kv, cols) for cols in cols_choices
-                   if all(_in_digit_span(cols, kv, y, R) for y in rel_L0))
+        spans = [((R.zero,) * j + (R.const(p ** kv[j]),), starts[j], starts[j + 1])
+                 for j in range(m)]
+        digits = [R.digits(p ** kv[i]) for j in range(m) for i in range(j + 1, m)]
+        for entries in product(*digits):
+            cols = [head + entries[a:b] for head, a, b in spans]
+            if all(_in_digit_span(cols, kv, y, R) for y in rel_L0):
+                out.append((kv, [list(col) for col in cols]))
     return out

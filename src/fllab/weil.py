@@ -18,6 +18,10 @@ blocks; the unitary kernel psi_E(t(c)^sigma b) acts coordinate-wise with
 unit twists 2 and -2u), with autodual normalization vol(M) = 1.  Along an
 axis of P = p^(a+b) cosets the kernel is zeta^(c k l), a DFT of order P over
 the group ring, run as a radix-p transform whose twiddles are cyclic shifts.
+Each axis copies its input once into a contiguous (P, q, R) table (the axis,
+the q coefficients, then the R cosets of the other axes), so that every stage
+adds whole contiguous blocks; the stages alternate between two scratch
+tables, which serve all the axes of one transform.
 Phases psi(phi(x)) enter as integer grids of zeta exponents, one per coset.
 """
 
@@ -256,9 +260,10 @@ class FiniteLevelFunction:
     def random(side, n, cfg: FieldConfig, a, b, rng: random.Random,
                density: int = 24) -> "FiniteLevelFunction":
         f = FiniteLevelFunction.zero(side, n, cfg, a, b)
-        for _ in range(min(density, f.coset_count)):
-            idx = tuple(rng.randrange(f.P) for _ in range(f.axes))
-            f.table[idx + (rng.randrange(f.ring.q),)] += rng.choice((-2, -1, 1, 2))
+        P, axes, q = f.P, f.axes, f.ring.q
+        for _ in range(min(density, P**axes)):
+            idx = tuple(rng.randrange(P) for _ in range(axes))
+            f.table[idx + (rng.randrange(q),)] += rng.choice((-2, -1, 1, 2))
         return f
 
     # -- structure -----------------------------------------------------------
@@ -272,7 +277,20 @@ class FiniteLevelFunction:
         return (self.side, self.n, self.a, self.b, den, arr.tobytes(), arr.shape)
 
     def equals(self, other: "FiniteLevelFunction") -> bool:
-        return self.canonical() == other.canonical()
+        """canonical() == other.canonical(), without its gcd: the folded tables
+        agree once scaled to the common denominator p^max(den)."""
+        if (self.side, self.n, self.a, self.b) != (other.side, other.n, other.a, other.b):
+            return False
+        den = max(self.den, other.den)
+        scaled = []
+        for g in (self, other):
+            arr = g.ring.fold(g.table)
+            if g.den < den:
+                s = self.p ** (den - g.den)
+                _headroom(s * _magnitude(arr))
+                arr = arr * s
+            scaled.append(arr)
+        return np.array_equal(*scaled)
 
     def digits(self, shift=None) -> np.ndarray:
         """Coset digits k, shape (axes, P, ..., P), for representatives k p^-a;
@@ -331,31 +349,34 @@ class FiniteLevelFunction:
         return out
 
 
-def _axis_dft(src: np.ndarray, out: np.ndarray, spare: np.ndarray, p: int, L: int,
-              c: int, q: int) -> np.ndarray:
-    """out[l] = sum_k zeta^(c k l) src[k] along axis 0 (zeta^(c p^L) = 1; axis 1
-    holds the coefficients, where zeta^e shifts by e), as a radix-p Stockham
-    transform: after stage s, rows l G + i (G = p^(L-s)) hold the order-p^s
-    transform of src[i + G k], y[(j + t h) G + i] = sum_r zeta^(c G r (j + t h))
-    x[(j p + r) G + i] with h = p^(s-1), p^(L+1) row adds in blocks of G.
-    Stages alternate between out and spare; returns the one holding the result."""
+def _axis_dft(x: np.ndarray, y: np.ndarray, p: int, L: int, c: int, q: int) -> np.ndarray:
+    """y[l] = sum_k zeta^(c k l) x[k] along axis 0 of a contiguous (P, q, R)
+    table (P = p^L, zeta^(c P) = 1; axis 1 holds the coefficients, where zeta^e
+    shifts by e; R runs over the other axes), as a radix-p Stockham transform:
+    after stage s, rows l G + i (G = p^(L-s)) hold the order-p^s transform of
+    x[i + G k], y[(j + t h) G + i] = sum_r zeta^(c G r (j + t h)) x[(j p + r) G + i]
+    with h = p^(s-1), p^(L+1) row adds in blocks of G; the first term of each
+    output block is written by an add of two input blocks, not a copy.  Stages
+    alternate between the two scratch tables x and y (x is overwritten);
+    returns the one holding the result."""
     P = p**L
-    if L == 0:
-        out[...] = src
-        return out
     for s in range(L):
         h, G = p**s, P // p ** (s + 1)
         for j in range(h):
+            base = x[j * p * G:(j * p + 1) * G]
             for t in range(p):
-                acc = out[(j + t * h) * G:(j + t * h + 1) * G]
-                acc[...] = src[j * p * G:(j * p + 1) * G]
+                acc = y[(j + t * h) * G:(j + t * h + 1) * G]
                 for r in range(1, p):
-                    block = src[(j * p + r) * G:(j * p + r + 1) * G]
+                    block = x[(j * p + r) * G:(j * p + r + 1) * G]
                     e = c * G * r * (j + t * h) % q
-                    acc[:, e:] += block[:, :q - e]
-                    acc[:, :e] += block[:, q - e:]
-        src, out = out, (spare if s == 0 else src)
-    return src
+                    if r == 1:
+                        np.add(base[:, e:], block[:, :q - e], out=acc[:, e:])
+                        np.add(base[:, :e], block[:, q - e:], out=acc[:, :e])
+                    else:
+                        acc[:, e:] += block[:, :q - e]
+                        acc[:, :e] += block[:, q - e:]
+        x, y = y, x
+    return x
 
 
 def partial_fourier(f: FiniteLevelFunction, kernel_shift: int = 0,
@@ -367,8 +388,12 @@ def partial_fourier(f: FiniteLevelFunction, kernel_shift: int = 0,
     normalization contributes p^-b per F-axis.  Each axis transforms by
     zeta^(c k l), c = +-alpha p^(2 + kernel_shift) with the axis twist alpha,
     in a + b radix-p stages of p P block adds (_axis_dft; the direct sum
-    takes P^2) between the output and one scratch table.  Coefficients grow
-    by up to P per axis: CoefficientOverflow where that could pass int64.
+    takes P^2).  Two scratch tables serve the whole transform: each axis
+    copies its input (f, or the previous axis's result held in one table)
+    once into the other, in a contiguous (P, q, R) layout (the axis, the q
+    coefficients, then the R cosets of the other axes), and its stages
+    alternate between the two.  Coefficients grow by up to P per axis:
+    CoefficientOverflow where that could pass int64.
     """
     if kernel_shift < 0:
         raise ConductorExceeded("kernel character coarser than the grid")
@@ -376,15 +401,16 @@ def partial_fourier(f: FiniteLevelFunction, kernel_shift: int = 0,
     bufs = [np.empty(f.table.size, dtype=np.int64) for _ in range(2)]
     table = f.table
     for axis in range(f.axes):
-        _headroom(P * _magnitude(table))
         alpha = 1 if f.side == "gl" else (2 if axis % 2 == 0 else -2 * f.u)
         c = kernel_sign * alpha * p ** (2 + kernel_shift)
         src = np.moveaxis(table, (axis, -1), (0, 1))
-        out, spare = (buf.reshape(src.shape) for buf in bufs[::-1])
-        res = _axis_dft(src, out, spare, p, L, c, q)
-        if res is out:
+        x, y = (buf.reshape(P, q, -1) for buf in bufs)
+        np.copyto(x.reshape(src.shape), src)
+        _headroom(P * _magnitude(x))
+        res = _axis_dft(x, y, p, L, c, q)
+        if res is x:
             bufs.reverse()
-        table = np.moveaxis(res, (0, 1), (axis, -1))
+        table = np.moveaxis(res.reshape(src.shape), (0, 1), (axis, -1))
     if f.side == "gl":
         m = f.m
         table = np.transpose(table, list(range(m, 2 * m)) + list(range(m)) + [2 * m])
@@ -477,7 +503,7 @@ def sl2_relation_check(cfg: FieldConfig, n: int, level, trials: int, seed,
             lhs = weil_apply(braid_lhs, f, fourier_scale)
             rhs = weil_apply(["w", "w"], f, fourier_scale)
             ok = ok and lhs.equals(rhs)
-            f4 = weil_apply(["w", "w", "w", "w"], f, fourier_scale)
+            f4 = weil_apply(["w", "w"], rhs, fourier_scale)
             ok = ok and f4.equals(f)
     return ok
 

@@ -124,6 +124,18 @@ def test_orbit_examples(tmp_path, capsys):
     assert json.loads(out)["value"] == 1
 
 
+def test_orbit_oracle_reads_explosion_bound(tmp_path, capsys):
+    # a count-4 point whose u box has quotient p^12: within the default bound
+    mat = {"p": 3, "u": 2, "n": 3, "side": "u",
+           "entries": [["2", "3-6w", "-3w"], ["3+6w", "-1", "9"], ["3w", "9", "0"]]}
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(mat))
+    code, out, _ = run_cli(capsys, "orbit", "--side", "u", "--input", str(path), "--oracle")
+    assert code == 0
+    data = json.loads(out)
+    assert data["value"] == 4 and data["oracle"] == 4 and data["oracle_agrees"] is True
+
+
 def test_orbit_rss_failure(tmp_path, capsys):
     mat = {"p": 3, "u": -1, "n": 2, "side": "gl",
            "entries": [["1", "0"], ["1", "0"]]}

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,21 @@ def _box(L0, L1):
                                     for col in cols], L1.cfg, L1.kind)
            for _, cols in enumerate_all_between(L0, L1)]
     return sorted(box, key=Lattice.key)
+
+
+def test_box_keeps_only_survivors_in_memory():
+    # O^2 over L0 = O + p^7 O: about 1.5 p^7 candidate digit matrices, of which
+    # only diag(1, p^k), k <= 7, hold L0; a box built in full takes 557 KB here
+    L1 = Lattice.standard(CFG3, 2)
+    L0 = Lattice(Matrix.from_rows(CFG3, [[1, 0], [0, 3**7]]), "F")
+    tracemalloc.start()
+    try:
+        box = enumerate_all_between(L0, L1, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert box == [([0, k], [[1, 0], [0, 3**k]]) for k in range(8)]
+    assert peak < 250_000
 
 
 def _naive_stable(T, H):

@@ -185,6 +185,7 @@ def _direct_fourier(f, kernel_shift, kernel_sign):
 
 
 @pytest.mark.parametrize("n,cfg,level", [
+    (2, CFG3, (0, 0)), (2, CFG3, (0, 1)),
     (2, CFG3, (1, 1)), (2, CFG3, (1, 0)), (2, CFG3, (2, 1)),
     (2, CFG5, (1, 1)), (2, CFG5, (1, 0)),
     (3, CFG3, (1, 1)), (3, CFG3, (1, 0)),
@@ -194,14 +195,72 @@ def test_partial_fourier_matches_direct_sum(n, cfg, level):
     for side in ("u", "gl"):
         f = FiniteLevelFunction.random(side, n, cfg, *level, rng, density=60)
         f.den = 1
-        before = f.table.copy()
-        for shift in (0, 1):
-            for sign in (1, -1):
-                got = partial_fourier(f, kernel_shift=shift, kernel_sign=sign)
-                want, den = _direct_fourier(f, shift, sign)
-                assert np.array_equal(got.table, want)
-                assert (got.den, got.a, got.b) == (den, level[1], level[0])
-        assert np.array_equal(f.table, before)
+        # strided inputs too: a transform's output (transposed on gl) and f(-x)
+        inputs = [f, partial_fourier(f), f.reflect()]
+        if f.P > 1:
+            assert not any(g.table.flags.c_contiguous for g in inputs[1:])
+        for g in inputs:
+            before = g.table.copy()
+            for shift in (0, 1):
+                for sign in (1, -1):
+                    got = partial_fourier(g, kernel_shift=shift, kernel_sign=sign)
+                    want, den = _direct_fourier(g, shift, sign)
+                    assert np.array_equal(got.table, want)
+                    assert (got.den, got.a, got.b) == (den, g.b, g.a)
+            assert np.array_equal(g.table, before)
+
+
+def test_equals_agrees_with_canonical():
+    rng = random.Random(59)
+    for side, n, cfg, level in [("u", 2, CFG3, (1, 1)), ("gl", 2, CFG5, (1, 0)),
+                                ("gl", 3, CFG3, (0, 1))]:
+        f = FiniteLevelFunction.random(side, n, cfg, *level, rng)
+        p, q = f.p, f.ring.q
+        pairs = []
+        for k in (1, 2):  # p^k f / p^k: equal after scaling by p^k
+            g = f.copy()
+            g.table, g.den = g.table * p**k, f.den + k
+            pairs += [(f, g), (g, f)]
+        g = f.copy()  # add 1 + zeta^(q/p) + ... + zeta^((p-1)q/p) = 0 at one coset
+        g.table[(0,) * f.axes + (slice(3, None, q // p),)] += 1
+        pairs.append((f, g))
+        g = f.copy()  # a single differing coefficient
+        g.table[(1,) * f.axes + (0,)] += 1
+        pairs.append((f, g))
+        g = f.copy()  # the same coefficients, one power of p apart
+        g.den += 1
+        pairs.append((f, g))
+        pairs.append((f, partial_fourier(f)))  # level (b, a), other denominator
+        other = FiniteLevelFunction("gl" if side == "u" else "u", n, p, f.u, *level,
+                                    f.table.copy(), f.den)
+        pairs.append((f, other))
+        zero = FiniteLevelFunction.zero(side, n, cfg, *level)
+        deep_zero = zero.copy()
+        deep_zero.den = 3
+        pairs.append((zero, deep_zero))
+        got = [a.equals(b) for a, b in pairs]
+        assert got == [a.canonical() == b.canonical() for a, b in pairs]
+        assert got == [True] * 5 + [False] * 4 + [True]
+
+
+def test_random_draws_unchanged():
+    # the loop before its invariants were hoisted: the same draws, the same tables
+    def old_random(side, n, cfg, a, b, rng, density=24):
+        f = FiniteLevelFunction.zero(side, n, cfg, a, b)
+        for _ in range(min(density, f.coset_count)):
+            idx = tuple(rng.randrange(f.P) for _ in range(f.axes))
+            f.table[idx + (rng.randrange(f.ring.q),)] += rng.choice((-2, -1, 1, 2))
+        return f
+
+    for seed in (0, 7, 41, 2**31 + 5):
+        for side, n, cfg, level, density in [("u", 2, CFG3, (1, 1), 24),
+                                             ("gl", 3, CFG5, (0, 1), 60),
+                                             ("u", 2, CFG3, (0, 0), 24)]:
+            rng_new, rng_old = random.Random(seed), random.Random(seed)
+            new = FiniteLevelFunction.random(side, n, cfg, *level, rng_new, density)
+            old = old_random(side, n, cfg, *level, rng_old, density)
+            assert np.array_equal(new.table, old.table)
+            assert rng_new.random() == rng_old.random()
 
 
 def _fraction_coords(f, idx, shift):
