@@ -185,10 +185,10 @@ def _direct_fourier(f, kernel_shift, kernel_sign):
 
 
 @pytest.mark.parametrize("n,cfg,level", [
-    (2, CFG3, (0, 0)), (2, CFG3, (0, 1)),
     (2, CFG3, (1, 1)), (2, CFG3, (1, 0)), (2, CFG3, (2, 1)),
     (2, CFG5, (1, 1)), (2, CFG5, (1, 0)),
     (3, CFG3, (1, 1)), (3, CFG3, (1, 0)),
+    (2, CFG3, (0, 0)), (2, CFG3, (0, 1)),
 ])
 def test_partial_fourier_matches_direct_sum(n, cfg, level):
     rng = random.Random(41)
