@@ -3,7 +3,9 @@
 Subcommands: verify, orbit, invariants, represent, fourier-check, lemma1.
 Exit codes: 0 success, 1 mathematical mismatch / failed identity,
 2 usage or parse error (sampling exhausted included: the options admit no
-sample), 3 precision exhausted (represent and lemma1 only).
+sample), 3 precision exhausted (represent and lemma1 only), 4 refused: the
+lattices to enumerate exceed --explosion-bound, or the oracle does not
+support the input (verify records an oversized sample and goes on).
 
 Every input is an exact rational, and verify, orbit and invariants compute
 exactly: a matrix file that is not exactly hermitian is refused, not rounded.
@@ -34,6 +36,7 @@ from .errors import (
     FLLabError,
     NoHermitianOrbit,
     NotRss,
+    OracleTooLarge,
     PrecisionExhausted,
     SamplingExhausted,
 )
@@ -361,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("orbit", help="one orbital integral from a matrix file")
     add_common(sp, "--explosion-bound")
-    sp.add_argument("--side", choices=("u", "gl"), required=True)
+    sp.add_argument("--side", choices=("u", "gl"),
+                    help="read the matrix as this side (default: the side the file gives)")
     sp.add_argument("--input", required=True)
     sp.add_argument("--oracle", action="store_true")
 
@@ -437,6 +441,9 @@ def main(argv=None) -> int:
     except SamplingExhausted as exc:
         print(f"error: sampling exhausted: {exc}", file=sys.stderr)
         return 2
+    except (ExplosionGuard, OracleTooLarge) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except FLLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,7 +3,7 @@
 Block decomposition X = (X' b; c lambda), the invariant q = c*b, the
 rss test via the moment Hankel matrix, the invariant map to the common
 quotient (characteristic polynomial plus corner moments), the transfer
-sign, constructive representatives on both sides, matching, and seeded
+sign, constructive representatives on both sides, and seeded
 random sampling of matched pairs.
 
 Everything is pure and deterministic given (cfg, seed).
@@ -279,118 +279,6 @@ def is_rss(x) -> bool:
     return val_det(Matrix.hankel(x.cfg, moment_list(x, 2 * m - 1), m)) is not INF
 
 
-def _exact_rank(rows, ncols: int) -> int:
-    work = [[x.as_fraction() for x in row] for row in rows]
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(work)):
-            if work[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pr = work[rank]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                f = work[r][col] / pr[col]
-                work[r] = [a - f * bb for a, bb in zip(work[r], pr)]
-        rank += 1
-    return rank
-
-
-def _commutator_rows(Yp: Matrix, m: int, zero):
-    rows = []
-    for i in range(m):
-        for j in range(m):
-            row = [zero] * (m * m)
-            for k in range(m):
-                row[i * m + k] = row[i * m + k] + Yp[k, j]
-                row[k * m + j] = row[k * m + j] - Yp[i, k]
-            rows.append(row)
-    return rows
-
-
-def _split_quad_rows(rows_E, m: int, cfg):
-    """E-linear rows in g = g0 + g1*w as F-linear rows in the 2m^2 unknowns (g0, g1)."""
-    u = cfg.u
-    out = []
-    for row in rows_E:
-        re_row = [cfg.zero()] * (2 * m * m)
-        im_row = [cfg.zero()] * (2 * m * m)
-        for k, x in enumerate(row):
-            # (a + bw)(g0 + g1 w) = (a g0 + u b g1) + (b g0 + a g1) w
-            re_row[k] = x.a
-            re_row[m * m + k] = x.b * u
-            im_row[k] = x.b
-            im_row[m * m + k] = x.a
-        out.append(re_row)
-        out.append(im_row)
-    return out
-
-
-def centralizer_is_trivial(y) -> bool:
-    """Brute-force rss oracle via one-sided centralizer systems.
-
-    b is a cyclic column iff {g : [g, X'] = 0, g b = 0} = 0, and c is a cyclic
-    row iff {g : [g, X'] = 0, c g = 0} = 0; rss is the conjunction.  (The joint
-    system alone is weaker: c = 0 with cyclic b leaves a trivial stabilizer but
-    a non-closed orbit.)  Exact entries required.
-    """
-    m = y.n - 1
-    if m == 0:
-        return True
-    cfg = y.cfg
-    quad = isinstance(y, HnElement)
-    zero = cfg.quad(0, 0) if quad else cfg.zero()
-    b, c = y.b_col(), y.c_row()
-    base = _commutator_rows(y.corner(), m, zero)
-    left = list(base)
-    for i in range(m):
-        row = [zero] * (m * m)
-        for k in range(m):
-            row[i * m + k] = b[k]
-        left.append(row)
-    right = list(base)
-    for j in range(m):
-        row = [zero] * (m * m)
-        for k in range(m):
-            row[k * m + j] = c[k]
-        right.append(row)
-    full = m * m
-    if quad:  # over E, solve for g = g0 + g1*w in F-unknowns
-        left, right = _split_quad_rows(left, m, cfg), _split_quad_rows(right, m, cfg)
-        full *= 2
-    return _exact_rank(left, full) == full and _exact_rank(right, full) == full
-
-
-def embedded_centralizer_dim(y: GlnElement) -> int:
-    """Dimension of {(g, t) : [diag(g, t), Y] = 0}; rss implies it equals 1."""
-    m = y.n - 1
-    cfg = y.cfg
-    if m == 0:
-        return 1
-    Yp, b, c = y.corner(), y.b_col(), y.c_row()
-    nvar = m * m + 1
-    rows = []
-    for base in _commutator_rows(Yp, m, cfg.zero()):
-        rows.append(base + [cfg.zero()])
-    for i in range(m):
-        row = [cfg.zero()] * nvar
-        for k in range(m):
-            row[i * m + k] = b[k]
-        row[m * m] = -b[i]
-        rows.append(row)
-    for j in range(m):
-        row = [cfg.zero()] * nvar
-        for k in range(m):
-            row[k * m + j] = c[k]
-        row[m * m] = -c[j]
-        rows.append(row)
-    return nvar - _exact_rank(rows, nvar)
-
-
 def invariants_of(x) -> InvariantPoint:
     """(charpoly, a_i = e_n^* X^i e_n): the full invariant coordinate tuple."""
     cfg = x.cfg
@@ -499,13 +387,6 @@ def u_representative(a: InvariantPoint) -> HnElement:
     return X
 
 
-def matches(x: HnElement, y: GlnElement) -> bool:
-    """X and Y match iff their invariant tuples coincide (rss locus)."""
-    if not is_rss(x) or not is_rss(y):
-        raise NotRss("matching is defined on the rss locus")
-    return invariants_of(x).agrees(invariants_of(y))
-
-
 # ----------------------------------------------------------------------
 # random sampling
 
@@ -548,39 +429,3 @@ def sample_matched_pair(n: int, cfg: FieldConfig, height: int, seed):
         y = gl_representative(a)
         return x, y, a
     raise SamplingExhausted("no rss sample found in 1000 draws")
-
-
-def random_unitary(m: int, cfg: FieldConfig, seed) -> Matrix:
-    """Cayley transform g = (I + A)(I - A)^-1 of a random anti-hermitian A."""
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    p = cfg.p
-    for _ in range(64):
-        rows = [[None] * m for _ in range(m)]
-        for i in range(m):
-            rows[i][i] = cfg.quad(0, _rand_fraction(rng, 5, p))
-            for j in range(i + 1, m):
-                x = cfg.quad(_rand_fraction(rng, 5, p), _rand_fraction(rng, 5, p))
-                rows[i][j] = x
-                rows[j][i] = -x.sigma()
-        A = Matrix(cfg, rows)
-        I = Matrix.identity(cfg, m, quad=True)
-        if val_det(I - A) is INF:
-            continue
-        return (I + A) * inverse(I - A)
-    raise SamplingExhausted("could not build a unitary matrix")
-
-
-def random_gl(m: int, cfg: FieldConfig, seed, scale_parity=True) -> Matrix:
-    """Random element of GL_m(F) with mixed determinant valuations."""
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    p = cfg.p
-    for _ in range(64):
-        rows = [[cfg.scalar(_rand_fraction(rng, 9, p)) for _ in range(m)] for _ in range(m)]
-        G = Matrix(cfg, rows)
-        if val_det(G) is INF:
-            continue
-        if scale_parity and rng.random() < 0.5:
-            scaled = [[G[i, j] * (p if i == 0 else 1) for j in range(m)] for i in range(m)]
-            G = Matrix(cfg, scaled)
-        return G
-    raise SamplingExhausted("could not build an invertible matrix")

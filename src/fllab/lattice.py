@@ -30,7 +30,9 @@ sigma(S)^T H S / p^(2e) needs that product mod p^(2e+1); so T and H are read
 once as residues mod p^(2e+1), and a truncated input with fewer digits
 raises PrecisionExhausted rather than give a wrong lattice.  The layer
 vectors p^e v = S x / p are integral, as v lies in H^-1 O^m <= p^-e O^m.
-Lattice objects are built only for the lattices the walk returns.
+The walk returns each lattice as the pair (k, S) of plain ints, with
+k = [L : O^m] read off the diagonal of S: the index profile that the orbital
+integrals are read from needs no more.
 
 The precondition is checked on the same residues, and that is enough.  Let
 Delta = sigma(T)^T H - H T lie in p^(2e+1) M(O).  As H^-1 lies in
@@ -53,7 +55,7 @@ from itertools import product
 
 from .errors import ExplosionGuard, ZeroModule
 from .linalg import Matrix, hnf_basis, inverse, val_det
-from .padic import FieldConfig, PAdicScalar, QuadScalar
+from .padic import FieldConfig, QuadScalar
 
 
 class Lattice:
@@ -99,9 +101,6 @@ class Lattice:
         """Sum of the diagonal exponents of the triangular canonical basis."""
         return sum(int(self.basis[j, j].valuation()) for j in range(self.rank))
 
-    def index_sign(self) -> int:
-        return -1 if self.val_det() % 2 else 1
-
     def key(self) -> tuple:
         """Canonical hashable key (exact basis entries as fractions)."""
         if self._key is None:
@@ -124,7 +123,7 @@ class Lattice:
     def __repr__(self):
         return f"Lattice({self.kind}, {self.basis!r})"
 
-    # -- membership and comparison -----------------------------------------
+    # -- coordinates ----------------------------------------------------------
 
     def coords(self, v):
         """Coordinates of v against the (lower-triangular) canonical basis, by
@@ -140,22 +139,6 @@ class Lattice:
             for i in range(j + 1, m):
                 rem[i] = rem[i] - xj * B[i, j]
         return out
-
-    def contains(self, v) -> bool:
-        """True iff v has integral coordinates against the basis."""
-        if len(v) != self.rank:
-            raise ValueError("dimension mismatch")
-        return all(x.is_integral() for x in self.coords(v))
-
-    def contains_lattice(self, other: "Lattice") -> bool:
-        return all(self.contains(other.basis.col(j)) for j in range(other.rank))
-
-    def scaled(self, k: int) -> "Lattice":
-        """p^k * L (canonical form scales with it)."""
-        pk = Fraction(self.cfg.p) ** k
-        s = self.cfg.scalar(pk)
-        mat = Matrix(self.cfg, [[x * s for x in row] for row in self.basis.entries])
-        return Lattice(mat, self.kind, canonical=True)
 
     # -- duality ------------------------------------------------------------
 
@@ -204,11 +187,6 @@ def module_closure(T: Matrix, v, kind: str = "F") -> ModuleBasis:
     return ModuleBasis(mat, pivots, kind)
 
 
-def stabilizes(T: Matrix, L: Lattice) -> bool:
-    """T L <= L."""
-    return all(L.contains(T.apply(L.basis.col(j))) for j in range(L.rank))
-
-
 # ----------------------------------------------------------------------
 # integer residues for the walk and the box
 
@@ -226,9 +204,6 @@ class _ResiduesF:
         """Residue mod p^(k - base) of p^-base x, for x of valuation >= base
         (PrecisionExhausted if it has fewer digits than p^k)."""
         return x.lift_scaled(base, k)
-
-    def scalar(self, x, cfg: FieldConfig, den: int = 1):
-        return PAdicScalar.exact(cfg, Fraction(x, den))
 
     def const(self, c: int):
         return c
@@ -277,10 +252,6 @@ class _ResiduesE(_ResiduesF):
         if isinstance(x, QuadScalar):
             return x.a.lift_scaled(base, k), x.b.lift_scaled(base, k)
         return x.lift_scaled(base, k), 0
-
-    def scalar(self, x, cfg: FieldConfig, den: int = 1):
-        return QuadScalar(PAdicScalar.exact(cfg, Fraction(x[0], den)),
-                          PAdicScalar.exact(cfg, Fraction(x[1], den)))
 
     def const(self, c: int):
         return c, 0
@@ -399,15 +370,6 @@ def _layer_matrix(S, H, R: _ResiduesF):
     return [[R.dot(row, s, p * R.pe) // R.pe for s in S] for row in H]
 
 
-def _lattice(S, R: _ResiduesF, cfg: FieldConfig, kind: str) -> Lattice:
-    """The Lattice p^-e S, S canonical (columns)."""
-    m = len(S)
-    zero = R.scalar(R.zero, cfg)
-    rows = [[R.scalar(S[j][i], cfg, R.pe) if j <= i else zero for j in range(m)]
-            for i in range(m)]
-    return Lattice(Matrix(cfg, rows), kind, canonical=True)
-
-
 def _adjoint_holds(A, B, R: _ResiduesF, mod: int) -> bool:
     """sigma(A)^T B = B A modulo `mod`, for residue matrices A and B (rows)."""
     Ac, Bc = list(zip(*A)), list(zip(*B))
@@ -446,10 +408,13 @@ def quotient_reps(S, K, R: _ResiduesF):
     return out
 
 
-def enumerate_stable_between(T: Matrix, H: Matrix, bound_exp: int = 12):
-    """All lattices L with O^m <= L <= H^-1 O^m and T L <= L, complete,
-    duplicate-free and sorted by key; over O_E (T with E entries) only the ones
-    integral for h(v, w) = sigma(v)^T H w (L <= L^dual).
+def enumerate_stable_between(T: Matrix, H: Matrix, bound_exp: int = 12) -> list:
+    """All lattices L with O^m <= L <= H^-1 O^m and T L <= L, complete and
+    duplicate-free, over O_E (T with E entries) only the ones integral for
+    h(v, w) = sigma(v)^T H w (L <= L^dual).  Each L is one pair (k, S) of
+    plain ints: its index k = [L : O^m] and the canonical basis S of p^e L,
+    e = val det H, as a tuple of columns (module docstring); the pairs come
+    sorted as ints.
 
     T and H must be integral with sigma(T)^T H = H T, and over O_E H must be
     hermitian, sigma(H)^T = H (else ValueError): then T O^m <= O^m, and
@@ -475,12 +440,13 @@ def enumerate_stable_between(T: Matrix, H: Matrix, bound_exp: int = 12):
     vectors y = S x / p = p^e v, the closure generators T^k y mod p^e, the
     pairings p^(2e) h(v, T^k v) = sigma(y)^T H T^k y mod p^(2e) (T^k y mod p^e
     is enough there, as H y = p^e H v is 0 mod p^e), and the closures from
-    _hnf_mod.  The int tuple of S is the dedupe key.
+    _hnf_mod.  The int tuple of S is the dedupe key.  S has diagonal
+    p^(k_j + e) for the diagonal p^(k_j) of L, so k = m e - sum_j (k_j + e).
     """
     message = "T and H must be integral, with sigma(T)^T H = H T"
     if not (T.is_integral() and H.is_integral()):
         raise ValueError(message)
-    cfg, m, kind, quad = T.cfg, T.rows, T.kind, T.kind == "E"
+    cfg, m, quad = T.cfg, T.rows, T.kind == "E"
     e = val_det(H)
     size = e * (2 if quad else 1)  # INF for a singular H
     if size > bound_exp:
@@ -513,22 +479,23 @@ def enumerate_stable_between(T: Matrix, H: Matrix, bound_exp: int = 12):
             if N not in found:
                 found.add(N)
                 frontier.append(N)
-    return sorted((_lattice(S, R, cfg, kind) for S in found), key=Lattice.key)
+    return sorted((m * e - sum(R.val(S[j][j]) for j in range(m)), S) for S in found)
 
 
-def enumerate_selfdual_stable(T: Matrix, H: Matrix, bound_exp: int = 12):
+def enumerate_selfdual_stable(T: Matrix, H: Matrix, bound_exp: int = 12) -> list:
     """All L with O_E^m <= L <= H^-1 O_E^m and T L <= L that are self-dual for
-    h(v, w) = sigma(v)^T H w: among the H-integral ones the walk finds, those
-    with [L^dual : L] = 1, i.e. val det L = -val det H / 2.
+    h(v, w) = sigma(v)^T H w, as the walk's pairs (k, S): among the H-integral
+    ones the walk finds, those with [L^dual : L] = 1, i.e. k = [L : O_E^m] =
+    val det H / 2.
 
     Empty when H is not integral (no self-dual lattice can contain O_E^m).
     T must be integral and self-adjoint for h.
     """
     if not H.is_integral():
         return []
-    half = Fraction(-val_det(H), 2)
-    return [L for L in enumerate_stable_between(T.to_quad(), H, bound_exp)
-            if L.val_det() == half]
+    e = val_det(H)
+    return [(k, S) for k, S in enumerate_stable_between(T.to_quad(), H, bound_exp)
+            if 2 * k == e]
 
 
 # ----------------------------------------------------------------------

@@ -222,56 +222,6 @@ def charpoly(M: Matrix):
     return poly
 
 
-def charpoly_oracle(M: Matrix):
-    """Cofactor-expansion det(tI - M) over polynomial lists (test oracle)."""
-    n = M.rows
-    cfg = M.cfg
-    quad = M.kind == "E"
-    zero = cfg.quad(0, 0) if quad else cfg.zero()
-    one = cfg.quad(1, 0) if quad else cfg.one()
-
-    def padd(p, q):
-        out = []
-        for i in range(max(len(p), len(q))):
-            a = p[i] if i < len(p) else zero
-            b = q[i] if i < len(q) else zero
-            out.append(a + b)
-        return out
-
-    def pmul(p, q):
-        out = [zero] * (len(p) + len(q) - 1)
-        for i, x in enumerate(p):
-            for j, y in enumerate(q):
-                out[i + j] = out[i + j] + x * y
-        return out
-
-    # entries of tI - M as linear polynomials
-    P = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            diag = one if i == j else zero
-            P[i][j] = [-(M.entries[i][j]), diag]
-
-    def det(rows, cols):
-        if len(rows) == 1:
-            return P[rows[0]][cols[0]]
-        acc = [zero]
-        sign = 1
-        for k, c in enumerate(cols):
-            minor = det(rows[1:], cols[:k] + cols[k + 1:])
-            term = pmul(P[rows[0]][c], minor)
-            if sign < 0:
-                term = [-x for x in term]
-            acc = padd(acc, term)
-            sign = -sign
-        return acc
-
-    poly = det(list(range(n)), list(range(n)))
-    while len(poly) < n + 1:
-        poly.append(zero)
-    return poly
-
-
 # ----------------------------------------------------------------------
 # elimination: val_det and linear solves
 

@@ -12,16 +12,22 @@ orbit meets the unit ball exactly at the C-stable lattices L with
 
 the lower bound from b in L, the upper one from c L in O; both are C-stable
 when C is integral, and there are none unless lambda, C and H are integral.
+Both integrals are read off an index profile: n_k, the number of such L
+(over O_F, or the self-dual ones over O_E) of index k = [L : O^m].  Let
+e = val det H.
 
 Unitary side: cosets of U_{n-1}(F)/U_{n-1}(O_F) correspond to self-dual
 O_E-lattices, so the integral counts the L over O_E that are self-dual for
-h(v, w) = sigma(v)^T H w (H is the Gram matrix of the Krylov basis).
+h(v, w) = sigma(v)^T H w (H is the Gram matrix of the Krylov basis).  Those
+are the L with [L^dual : L] = 1, i.e. k = e/2:
+
+    O(X, 1) = n_(e/2).
 
 General-linear side: cosets correspond to arbitrary O_F-lattices, each
 weighted by its index sign, and the transfer sign omega(Y) in front combines
-with the index sign of the Krylov basis into (-1)^(val det H):
+with the index sign of the Krylov basis into (-1)^e:
 
-    O(Y, 1) = (-1)^(val det H) * sum over L of (-1)^[L : O^m].
+    O(Y, 1) = (-1)^e * sum over L of (-1)^[L : O^m] = sum_k (-1)^(e - k) n_k.
 
 A structurally independent oracle re-derives both counts in the element's
 own coordinates: it enumerates every lattice L in a bounded box, with no
@@ -80,11 +86,15 @@ class OrbitalResult:
             assert self.value == self.lattice_count >= 0
 
 
-def krylov_lattices(lam, d, chi_p, kind: str, bound_exp: int = 12) -> list:
-    """The C-stable lattices O^m <= L <= H^-1 O^m of the corner data (lam, d, chi'),
-    over O_F (kind "F") or, keeping the ones self-dual for H, over O_E ("E").
+def index_profile(lam, d, chi_p, kind: str, bound_exp: int = 12) -> list:
+    """The index profile [n_0, ..., n_top] of the corner data (lam, d, chi'):
+    n_k C-stable lattices O^m <= L <= H^-1 O^m of index k = [L : O^m], top the
+    largest index found.
 
-    Empty unless lam, C = companion(chi') and H = (d_{i+j}) are integral.
+    Over O_F (kind "F") H^-1 O^m is found, so top = val det H.  Over O_E ("E")
+    only the lattices self-dual for H count, all of index top = val det H / 2.
+    Empty unless lam, C = companion(chi') and H = (d_{i+j}) are integral, and
+    over O_E when no lattice is self-dual.
     """
     cfg = lam.cfg
     m = len(chi_p)
@@ -92,9 +102,12 @@ def krylov_lattices(lam, d, chi_p, kind: str, bound_exp: int = 12) -> list:
     H = Matrix.hankel(cfg, d, m)
     if not (lam.is_integral() and C.is_integral() and H.is_integral()):
         return []
-    if kind == "E":
-        return enumerate_selfdual_stable(C, H, bound_exp)
-    return enumerate_stable_between(C, H, bound_exp)
+    walk = enumerate_selfdual_stable if kind == "E" else enumerate_stable_between
+    found = walk(C, H, bound_exp)  # sorted by index
+    profile = [0] * (found[-1][0] + 1 if found else 0)
+    for k, _ in found:
+        profile[k] += 1
+    return profile
 
 
 def _krylov_value(side: str, lam, d, chi_p, bound_exp: int):
@@ -102,12 +115,11 @@ def _krylov_value(side: str, lam, d, chi_p, bound_exp: int):
     if not chi_p:  # n = 1: the integral is 1_O(lam)
         ok = int(lam.is_integral())
         return ok, ok
-    found = krylov_lattices(lam, d, chi_p, "E" if side == "u" else "F", bound_exp)
-    if side == "u" or not found:
-        return len(found), len(found)
-    # H^-1 O^m is found, and its val det -val det H is the least
-    sign = -1 if min(L.val_det() for L in found) % 2 else 1
-    return sign * sum(L.index_sign() for L in found), len(found)
+    n = index_profile(lam, d, chi_p, "E" if side == "u" else "F", bound_exp)
+    if side == "u":  # n_(e/2) is the only nonzero entry
+        return sum(n), sum(n)
+    e = len(n) - 1  # val det H
+    return sum((-1) ** (e - k) * nk for k, nk in enumerate(n)), sum(n)
 
 
 def _corner_data(x):

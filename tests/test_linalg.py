@@ -8,7 +8,6 @@ from fllab.errors import NotSplit, SingularSystem
 from fllab.linalg import (
     Matrix,
     charpoly,
-    charpoly_oracle,
     hermitian_split,
     hnf_basis,
     inverse,
@@ -16,6 +15,7 @@ from fllab.linalg import (
     val_det,
 )
 from fllab.padic import FieldConfig, PAdicScalar, QuadScalar
+from reference import charpoly_oracle
 
 CFG3 = FieldConfig(3, -1)
 CFG5 = FieldConfig(5, 2)

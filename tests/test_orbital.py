@@ -13,22 +13,22 @@ from fllab.geometry import (
     gl_representative,
     invariants_of,
     is_rss,
-    random_gl,
-    random_unitary,
     sample_hermitian,
     sample_matched_pair,
     transfer_sign,
 )
-from fllab.lattice import Lattice, _residues, enumerate_all_between, module_closure
+from fllab.lattice import Lattice, enumerate_all_between, module_closure
 from fllab.linalg import Matrix, inverse, val_det
 from fllab.orbital import (
     fl_compare,
+    index_profile,
     lemma1_check,
     orbital_gl_unit,
     orbital_oracle,
     orbital_u_unit,
 )
 from fllab.padic import FieldConfig
+from reference import index_sign, random_gl, random_unitary, scalar
 
 CFG3 = FieldConfig(3, -1)
 CFG5 = FieldConfig(5, 2)
@@ -162,18 +162,17 @@ def _reference_oracle(side, elt, max_exp):
     Lmin = module_closure(Xp, elt.b_col(), kind="E" if quad else "F").to_lattice()
     L1 = (Lmin.dual() if quad
           else module_closure(Xp.transpose(), elt.c_row()).to_lattice().dual())
-    R = _residues(elt.cfg, quad, 0)
     box = enumerate_all_between(Lmin, L1, max_exp)
     total = 0
     for _, cols in box:
-        gens = [L1.basis.apply([R.scalar(x, elt.cfg) for x in col]) for col in cols]
+        gens = [L1.basis.apply([scalar(x, elt.cfg) for x in col]) for col in cols]
         L = Lattice.from_generators(gens, elt.cfg, L1.kind)
         G = L.gram()
         if quad and not (G.is_integral() and val_det(G) == 0):
             continue
         B = L.basis
         if (_embed(inverse(B), n) * elt.mat * _embed(B, n)).is_integral():
-            total += 1 if quad else L.index_sign()
+            total += 1 if quad else index_sign(L)
     Y1 = _embed(inverse(L1.basis), n) * elt.mat * _embed(L1.basis, n)
     traits = {name for name, holds in (("s", not Y1.is_integral()),
                                        ("t", not L1.gram().is_integral()),
@@ -272,13 +271,28 @@ def test_fl_compare_count_three():
     assert orbital_oracle("gl", gl_representative(a)) == 3
 
 
-@pytest.mark.parametrize("rows,count", [
+# integral n=3 and n=4, p=3 points (w^2 = 2) of Hankel val det 6-8, with counts
+DEEP_N3 = [
     ([[(2, 0), (3, -6), (0, -3)], [(3, 6), (-1, 0), (9, 0)], [(0, 3), (9, 0), (0, 0)]], 4),
     ([[(-2, 0), (-6, -3), (18, -27)], [(-6, 3), (-2, 0), (-9, 3)],
       [(18, 27), (-9, -3), (0, 0)]], 7),
     ([[(1, 0), (9, 18), (-3, 3)], [(9, -18), (1, 0), (-9, 18)],
       [(-3, -3), (-9, -18), (-3, 0)]], 13),
-])
+]
+DEEP_N4 = [
+    ([[(-1, 0), (3, 0), (-9, -6), (-18, 0)], [(3, 0), (2, 0), (-18, -18), (9, 6)],
+      [(-9, 6), (-18, 18), (1, 0), (-2, -1)], [(-18, 0), (9, -6), (-2, 1), (-3, 0)]], 7),
+    ([[(1, 0), (-18, 27), (0, 0), (6, 3)], [(-18, -27), (-2, 0), (-1, 2), (-18, -18)],
+      [(0, 0), (-1, -2), (-3, 0), (3, 0)], [(6, -3), (-18, 18), (3, 0), (2, 0)]], 4),
+]
+
+
+def _deep_point(rows):
+    cfg = FieldConfig(3, 2)
+    return HnElement(Matrix(cfg, [[cfg.quad(*e) for e in row] for row in rows]))
+
+
+@pytest.mark.parametrize("rows,count", DEEP_N3)
 def test_oracles_reach_deep_counts(rows, count):
     # integral n=3, p=3 points (w^2 = 2) of Hankel val det 6-8: both box
     # oracles against the walk
@@ -291,18 +305,86 @@ def test_oracles_reach_deep_counts(rows, count):
     assert orbital_oracle("gl", gl_representative(a), 8) == count
 
 
-@pytest.mark.parametrize("rows,count", [
-    ([[(-1, 0), (3, 0), (-9, -6), (-18, 0)], [(3, 0), (2, 0), (-18, -18), (9, 6)],
-      [(-9, 6), (-18, 18), (1, 0), (-2, -1)], [(-18, 0), (9, -6), (-2, 1), (-3, 0)]], 7),
-    ([[(1, 0), (-18, 27), (0, 0), (6, 3)], [(-18, -27), (-2, 0), (-1, 2), (-18, -18)],
-      [(0, 0), (-1, -2), (-3, 0), (3, 0)], [(6, -3), (-18, 18), (3, 0), (2, 0)]], 4),
-])
+@pytest.mark.parametrize("rows,count", DEEP_N4)
 def test_fl_compare_n4_counts(rows, count):
     # integral n=4, p=3 points (w^2 = 2) with counts above 3
     cfg = FieldConfig(3, 2)
     X = HnElement(Matrix(cfg, [[cfg.quad(*e) for e in row] for row in rows]))
     r = fl_compare(invariants_of(X), 12)
     assert (r.o_u, r.o_gl) == (count, count)
+
+
+def _check_profile(a, bound):
+    # M -> M^# = {x : x^T H M <= O} reverses inclusion between O^m and
+    # H^-1 O^m, keeps C-stability (C is self-adjoint for H) and sends index k
+    # to e - k, e = val det H: the gl profile is symmetric.  Its signed sum is
+    # o_gl, and the self-dual lattices all have index e/2
+    lam, d, chi_p = a._derive()
+    e = val_det(a.hankel())
+    n = index_profile(lam, d, chi_p, "F", bound)
+    assert len(n) == e + 1 and n == n[::-1]
+    r = fl_compare(a, bound)
+    assert (-1) ** e * sum((-1) ** k * nk for k, nk in enumerate(n)) == r.o_gl
+    if r.hermitian_exists:
+        nu = index_profile(lam, d, chi_p, "E", bound)
+        assert sum(nu) == r.o_u
+        assert nu == [] or (len(nu) == e // 2 + 1 and sum(nu) == nu[-1])
+
+
+def test_index_profile_duality_at_deep_points():
+    for rows, _ in DEEP_N3:
+        _check_profile(invariants_of(_deep_point(rows)), 16)
+    for rows, _ in DEEP_N4:
+        _check_profile(invariants_of(_deep_point(rows)), 12)
+
+
+def test_index_profile_duality_random():
+    # integral n=3, p=3 points, hermitian (e even) and general-linear (e odd
+    # too, where the symmetry alone makes o_gl vanish), off-diagonal entries
+    # carrying p^0, p^1 or p^2, Hankel val det 1-5
+    cfg = FieldConfig(3, 2)
+    rng = random.Random(7)
+    seen = set()
+    done = 0
+    while done < 30:
+        scale = [[1 if i == j else 3 ** rng.randint(0, 2) for j in range(3)] for i in range(3)]
+        if done % 2:
+            elt = GlnElement(Matrix.from_rows(cfg, [[rng.randint(-3, 3) * scale[i][j]
+                                                     for j in range(3)] for i in range(3)]))
+        else:
+            rows = [[None] * 3 for _ in range(3)]
+            for i in range(3):
+                rows[i][i] = cfg.quad(rng.randint(-3, 3), 0)
+                for j in range(i + 1, 3):
+                    x = cfg.quad(rng.randint(-3, 3) * scale[i][j], rng.randint(-3, 3) * scale[i][j])
+                    rows[i][j], rows[j][i] = x, x.sigma()
+            elt = HnElement(Matrix(cfg, rows), check=False)
+        if not is_rss(elt):
+            continue
+        a = invariants_of(elt)
+        e = val_det(a.hankel())
+        if not 1 <= e <= 5:
+            continue
+        _check_profile(a, 10)
+        seen.add(e % 2)
+        done += 1
+    assert seen == {0, 1}
+
+
+def test_kernel_builds_no_lattice(monkeypatch):
+    # the orbital values are read off the walk's integer pairs (k, S)
+    X = _deep_point(DEEP_N3[0][0])
+    a = invariants_of(X)
+    Y = gl_representative(a)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Lattice was built")
+
+    monkeypatch.setattr(Lattice, "__init__", refuse)
+    r = fl_compare(a, 16)
+    assert (r.o_u, r.o_gl) == (4, 4)
+    assert orbital_u_unit(X, 16).value == 4
+    assert orbital_gl_unit(Y, 16).value == 4
 
 
 def test_transfer_sign_is_hankel_parity():
