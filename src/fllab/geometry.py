@@ -11,6 +11,7 @@ Everything is pure and deterministic given (cfg, seed).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,9 +116,9 @@ class InvariantPoint:
     """Point of the common quotient: charpoly coefficients plus corner moments.
 
     Coordinates: the n non-leading coefficients of det(tI - X) (ascending) and
-    the moments a_i = e_n^* X^i e_n for i = 1..n-1, all in F.  The corner data
-    (lambda, d_j = c X'^j b) is recovered by a triangular change of variables;
-    q = d_0.
+    the moments a_i = e_n^* X^i e_n for i = 1..n-1, all exact scalars in F.
+    The corner data (lambda, d_j = c X'^j b) is recovered by a triangular
+    change of variables on the coordinates' Fractions; q = d_0.
     """
 
     def __init__(self, n: int, charpoly_coeffs, moments, cfg: FieldConfig):
@@ -133,53 +134,48 @@ class InvariantPoint:
     # -- derived corner data -------------------------------------------
 
     def _derive(self):
-        """(lam, d_0..d_{2m-1}, chi') with m = n - 1, via the power-sum recursion."""
+        """(lam, d_0..d_{2m-1}, chi') with m = n - 1, via the power-sum recursion.
+
+        The coordinates must be exact (ValueError otherwise).  The recursion,
+        the chi' resolvent and their consistency check run on their Fractions
+        scaled to integers: for t the least common denominator, X -> t X
+        scales a quantity of degree w in X (c_j: n - j, a_i: i, lambda: 1,
+        d_k: k + 2, chi'_j: m - j) by t^w.  The scalars are built at the end.
+        """
         if self._derived is not None:
             return self._derived
-        n, m, cfg = self.n, self.n - 1, self.cfg
-        if n == 1:
-            lam = -self.charpoly[0]
-            self._derived = (lam, [], [])
-            return self._derived
-        lam = self.moments[0]
-        # r_i = e* X^i e, extended by the charpoly recursion
-        r = [cfg.one()] + list(self.moments)
-        need = 2 * m + 2
-        while len(r) < need:
-            r.append(-_dot(self.charpoly, r[len(r) - n:]))
-        # recursion r_{i+1} = lam r_i + sum_k gamma_{i,k} d_k with gamma_{i,i-1} = 1
+        if not all(x.is_exact for x in self.coords()):
+            raise ValueError("the corner data needs exact invariant coordinates")
+        n, m = self.n, self.n - 1
+        t = math.lcm(*(x.frac.denominator for x in self.coords()))
+        cp = [c.frac.numerator * (t ** (n - j) // c.frac.denominator)
+              for j, c in enumerate(self.charpoly)]
+        # r_i = t^i e* X^i e, extended by the charpoly recursion
+        r = [1] + [a.frac.numerator * (t ** i // a.frac.denominator)
+                   for i, a in enumerate(self.moments, 1)]
+        lam = r[1] if n > 1 else -cp[0]
+        while len(r) < 2 * m + 2:
+            r.append(-sum(c * x for c, x in zip(cp, r[len(r) - n:])))
+        # r_{i+1} = lam r_i + sum_{k<i} r_{i-1-k} d_k, solved for d_{i-1}
         d = []
-        gamma = [cfg.one()]  # coefficients of c X'^k inside e* X^i restricted row
         for i in range(1, 2 * m + 1):
-            acc = r[i + 1] - lam * r[i]
-            for k in range(len(d)):
-                if k < len(gamma) and k != i - 1:
-                    acc = acc - gamma[k] * d[k]
-            d.append(acc)
-            gamma = [r[i]] + gamma  # shift and add r_i at position 0
-        d = d[: 2 * m]
+            d.append(r[i + 1] - lam * r[i] - sum(r[i - 1 - k] * d[k] for k in range(i - 1)))
         # chi' degree-by-degree from the resolvent identity
-        chi = self.charpoly + [cfg.one()]
-        chi_p = [None] * m + [cfg.one()]
+        chi_p = [None] * m + [1]
         for j in range(m, 0, -1):
-            acc = chi[j] + lam * chi_p[j]
-            for l in range(j + 1, m + 1):
-                acc = acc + chi_p[l] * d[l - 1 - j]
-            chi_p[j - 1] = acc
+            chi_p[j - 1] = (cp[j] + lam * chi_p[j]
+                            + sum(chi_p[l] * d[l - 1 - j] for l in range(j + 1, m + 1)))
         chi_p = chi_p[:m]
         # consistency: the d's must satisfy the chi' recursion (proved identity,
-        # asserted here to catch implementation drift), exactly on exact input
-        for kk in range(m):
-            acc = d[kk + m]
-            for jj in range(m):
-                acc = acc + chi_p[jj] * d[kk + jj]
-            if acc.is_exact:
-                ok = acc.is_exact_zero()
-            else:
-                ok = acc.is_zero_at_precision() or acc.valuation_lower_bound() >= cfg.D - 6
-            if not ok:
-                raise AssertionError("corner-moment recursion inconsistent")
-        self._derived = (lam, d, chi_p)
+        # checked here to catch implementation drift)
+        if any(d[k + m] + sum(c * x for c, x in zip(chi_p, d[k:])) for k in range(m)):
+            raise AssertionError("corner-moment recursion inconsistent")
+
+        def scalar(x, w):
+            return PAdicScalar.exact(self.cfg, Fraction(x, t ** w))
+
+        self._derived = (scalar(lam, 1), [scalar(x, k + 2) for k, x in enumerate(d)],
+                         [scalar(x, m - j) for j, x in enumerate(chi_p)])
         return self._derived
 
     def lam(self):

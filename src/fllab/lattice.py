@@ -28,7 +28,10 @@ restores what working mod p^e drops (see _hnf_mod).  Read mod p, the layer
 matrix K = H S / p^e needs H S mod p^(e+1), and the Gram matrix
 sigma(S)^T H S / p^(2e) needs that product mod p^(2e+1); so T and H are read
 once as residues mod p^(2e+1), and a truncated input with fewer digits
-raises PrecisionExhausted rather than give a wrong lattice.  The layer
+raises PrecisionExhausted rather than give a wrong lattice.  The caller
+passes e, and the walk checks it on those residues: by the elementary
+divisors p^(a_i) of H, [O^m : H O^m + p^(2e+1) O^m] = sum_i min(a_i, 2e+1),
+which is e iff val det H = sum_i a_i = e.  The layer
 vectors p^e v = S x / p are integral, as v lies in H^-1 O^m <= p^-e O^m.
 The walk returns each lattice as the pair (k, S) of plain ints, with
 k = [L : O^m] read off the diagonal of S: the index profile that the orbital
@@ -54,7 +57,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import ExplosionGuard, ZeroModule
-from .linalg import Matrix, hnf_basis, inverse, val_det
+from .linalg import Matrix, hnf_basis, inverse
 from .padic import FieldConfig, QuadScalar
 
 
@@ -408,19 +411,22 @@ def quotient_reps(S, K, R: _ResiduesF):
     return out
 
 
-def enumerate_stable_between(T: Matrix, H: Matrix, bound_exp: int = 12) -> list:
+def enumerate_stable_between(T: Matrix, H: Matrix, e: int, bound_exp: int = 12) -> list:
     """All lattices L with O^m <= L <= H^-1 O^m and T L <= L, complete and
     duplicate-free, over O_E (T with E entries) only the ones integral for
     h(v, w) = sigma(v)^T H w (L <= L^dual).  Each L is one pair (k, S) of
     plain ints: its index k = [L : O^m] and the canonical basis S of p^e L,
-    e = val det H, as a tuple of columns (module docstring); the pairs come
-    sorted as ints.
+    as a tuple of columns (module docstring); the pairs come sorted as ints.
+
+    e = val det H comes from the caller (fl_compare computes it once per
+    point) and is checked on the residues of H the walk reads: a wrong e
+    raises ValueError (module docstring), or ExplosionGuard above the bound.
 
     T and H must be integral with sigma(T)^T H = H T, and over O_E H must be
     hermitian, sigma(H)^T = H (else ValueError): then T O^m <= O^m, and
     H T v = sigma(T)^T H v is integral for H v integral, so both bounds are
-    T-stable.  Both identities are tested modulo p^(2e+1), e = val det H, on
-    the residues the walk reads, which is enough (module docstring): an error
+    T-stable.  Both identities are tested modulo p^(2e+1) on the residues the
+    walk reads, which is enough (module docstring): an error
     Delta in p^(2e+1) M(O) moves H T H^-1 by Delta H^-1 in p^(e+1) M(O), and a
     pairing of two vectors of p^-e O^m by an element of p O.
     The walk goes up from O^m, extending each found M by the
@@ -432,7 +438,8 @@ def enumerate_stable_between(T: Matrix, H: Matrix, bound_exp: int = 12) -> list:
     self-adjoint and integral), and the others are dropped.  The walk ends
     where the kernel is 0: K is then unimodular, so M = H^-1 O^m over O_F and
     M = M^dual, with no integral lattice above it, over O_E.
-    ExplosionGuard bounds all of H^-1 O^m / O^m, before the walk.
+    ExplosionGuard bounds all of H^-1 O^m / O^m, p^e (p^(2e) over O_E),
+    before the residues are read.
 
     Every step runs on the integer lattices S = p^e L (module docstring),
     which hold p^e O^m and so are exact mod p^e: K mod p from H mod p^(2e+1)
@@ -447,8 +454,7 @@ def enumerate_stable_between(T: Matrix, H: Matrix, bound_exp: int = 12) -> list:
     if not (T.is_integral() and H.is_integral()):
         raise ValueError(message)
     cfg, m, quad = T.cfg, T.rows, T.kind == "E"
-    e = val_det(H)
-    size = e * (2 if quad else 1)  # INF for a singular H
+    size = e * (2 if quad else 1)
     if size > bound_exp:
         raise ExplosionGuard(f"quotient size p^{size} exceeds p^{bound_exp}")
     R = _residues(cfg, quad, e)
@@ -461,6 +467,10 @@ def enumerate_stable_between(T: Matrix, H: Matrix, bound_exp: int = 12) -> list:
     if quad and not _adjoint_holds(Hr, one, R, mod):  # sigma(H)^T 1 = 1 H
         raise ValueError("H must be hermitian over O_E, sigma(H)^T = H")
     Hcols = list(zip(*Hr))
+    # the caller's e, checked on the same residues (module docstring)
+    Rd = _residues(cfg, quad, 2 * e + 1)
+    if e < 0 or sum(Rd.val(c[j]) for j, c in enumerate(_hnf_mod(Hcols, Rd))) != e:
+        raise ValueError(f"val det H is not {e}")
     pe, p2e = R.pe, cfg.p ** (2 * e)
     std = tuple(tuple(R.const(pe) if i == j else R.zero for i in range(m)) for j in range(m))
     found = {std}
@@ -482,19 +492,18 @@ def enumerate_stable_between(T: Matrix, H: Matrix, bound_exp: int = 12) -> list:
     return sorted((m * e - sum(R.val(S[j][j]) for j in range(m)), S) for S in found)
 
 
-def enumerate_selfdual_stable(T: Matrix, H: Matrix, bound_exp: int = 12) -> list:
+def enumerate_selfdual_stable(T: Matrix, H: Matrix, e: int, bound_exp: int = 12) -> list:
     """All L with O_E^m <= L <= H^-1 O_E^m and T L <= L that are self-dual for
     h(v, w) = sigma(v)^T H w, as the walk's pairs (k, S): among the H-integral
     ones the walk finds, those with [L^dual : L] = 1, i.e. k = [L : O_E^m] =
-    val det H / 2.
+    e / 2, for e = val det H from the caller, which the walk checks.
 
     Empty when H is not integral (no self-dual lattice can contain O_E^m).
     T must be integral and self-adjoint for h.
     """
     if not H.is_integral():
         return []
-    e = val_det(H)
-    return [(k, S) for k, S in enumerate_stable_between(T.to_quad(), H, bound_exp)
+    return [(k, S) for k, S in enumerate_stable_between(T.to_quad(), H, e, bound_exp)
             if 2 * k == e]
 
 

@@ -57,12 +57,10 @@ class Matrix:
     def companion(cfg: FieldConfig, coeffs, quad: bool = False) -> "Matrix":
         """Companion matrix of t^m + c_{m-1} t^{m-1} + ... + c_0 with C e_k = e_{k+1}."""
         m = len(coeffs)
-        cols = []
-        for j in range(m - 1):
-            cols.append([cfg.one() if i == j + 1 else cfg.zero() for i in range(m)])
+        one, zero = cfg.one(), cfg.zero()
         last = [-(c if isinstance(c, (PAdicScalar, QuadScalar)) else cfg.scalar(c)) for c in coeffs]
-        cols.append(last)
-        mat = Matrix(cfg, [[cols[j][i] for j in range(m)] for i in range(m)])
+        mat = Matrix(cfg, [[last[i] if j == m - 1 else one if i == j + 1 else zero
+                            for j in range(m)] for i in range(m)])
         return mat.to_quad() if quad else mat
 
     @staticmethod

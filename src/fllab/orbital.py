@@ -14,7 +14,9 @@ the lower bound from b in L, the upper one from c L in O; both are C-stable
 when C is integral, and there are none unless lambda, C and H are integral.
 Both integrals are read off an index profile: n_k, the number of such L
 (over O_F, or the self-dual ones over O_E) of index k = [L : O^m].  Let
-e = val det H.
+e = val det H.  fl_compare takes the exact corner data and e once per point
+(InvariantPoint._derive and hankel_val_det); both walks and the self-dual
+filter are handed that e, and the walk checks it on the residues of H.
 
 Unitary side: cosets of U_{n-1}(F)/U_{n-1}(O_F) correspond to self-dual
 O_E-lattices, so the integral counts the L over O_E that are self-dual for
@@ -55,7 +57,6 @@ from .geometry import (
     block_q,
     gl_representative,
     invariants_of,
-    is_rss,
     moment_list,
     transfer_sign,
 )
@@ -86,15 +87,16 @@ class OrbitalResult:
             assert self.value == self.lattice_count >= 0
 
 
-def index_profile(lam, d, chi_p, kind: str, bound_exp: int = 12) -> list:
+def index_profile(lam, d, chi_p, kind: str, e: int, bound_exp: int = 12) -> list:
     """The index profile [n_0, ..., n_top] of the corner data (lam, d, chi'):
     n_k C-stable lattices O^m <= L <= H^-1 O^m of index k = [L : O^m], top the
     largest index found.
 
-    Over O_F (kind "F") H^-1 O^m is found, so top = val det H.  Over O_E ("E")
-    only the lattices self-dual for H count, all of index top = val det H / 2.
-    Empty unless lam, C = companion(chi') and H = (d_{i+j}) are integral, and
-    over O_E when no lattice is self-dual.
+    e = val det H is the caller's; the walk checks it.  Over O_F (kind "F")
+    H^-1 O^m is found, so top = e.  Over O_E ("E") only the lattices self-dual
+    for H count, all of index top = e / 2.  Empty unless lam, C =
+    companion(chi') and H = (d_{i+j}) are integral, and over O_E when no
+    lattice is self-dual.
     """
     cfg = lam.cfg
     m = len(chi_p)
@@ -103,44 +105,46 @@ def index_profile(lam, d, chi_p, kind: str, bound_exp: int = 12) -> list:
     if not (lam.is_integral() and C.is_integral() and H.is_integral()):
         return []
     walk = enumerate_selfdual_stable if kind == "E" else enumerate_stable_between
-    found = walk(C, H, bound_exp)  # sorted by index
+    found = walk(C, H, e, bound_exp)  # sorted by index
     profile = [0] * (found[-1][0] + 1 if found else 0)
     for k, _ in found:
         profile[k] += 1
     return profile
 
 
-def _krylov_value(side: str, lam, d, chi_p, bound_exp: int):
-    """(value, lattice count) of the unit orbital integral above (lam, d, chi')."""
+def _krylov_value(side: str, lam, d, chi_p, e: int, bound_exp: int):
+    """(value, lattice count) of the unit orbital integral above (lam, d, chi'),
+    e = val det H."""
     if not chi_p:  # n = 1: the integral is 1_O(lam)
         ok = int(lam.is_integral())
         return ok, ok
-    n = index_profile(lam, d, chi_p, "E" if side == "u" else "F", bound_exp)
+    n = index_profile(lam, d, chi_p, "E" if side == "u" else "F", e, bound_exp)
     if side == "u":  # n_(e/2) is the only nonzero entry
         return sum(n), sum(n)
-    e = len(n) - 1  # val det H
     return sum((-1) ** (e - k) * nk for k, nk in enumerate(n)), sum(n)
 
 
 def _corner_data(x):
-    """(lam, d_0..d_{2m-2}, chi') read off the blocks of x, in F."""
+    """(lam, d_0..d_{2m-2}, chi', e = val det H) read off the blocks of x, in F;
+    NotRss when H is singular."""
     m = x.n - 1
     if m == 0:
-        return x.lam(), [], []
+        return x.lam(), [], [], 0
     d = moment_list(x, 2 * m - 1)
     chi_p = charpoly(x.corner())[:-1]
     if isinstance(x, HnElement):
         d = [t.f_part() for t in d]
         chi_p = [c.f_part() for c in chi_p]
-    return x.lam(), d, chi_p
+    e = val_det(Matrix.hankel(x.cfg, d, m))
+    if e is INF:
+        raise NotRss(f"{type(x).__name__} is not rss: its Hankel form is singular")
+    return x.lam(), d, chi_p, e
 
 
 def orbital_u_unit(X: HnElement, bound_exp: int = 12) -> OrbitalResult:
     """O(X, 1_{h_n(O)}): count of self-dual stable lattices, or 0 off support."""
     if not isinstance(X, HnElement):
         raise SideError(f"side 'u' does not take a {type(X).__name__}")
-    if not is_rss(X):
-        raise NotRss("unitary orbital integral needs an rss element")
     value, count = _krylov_value("u", *_corner_data(X), bound_exp)
     return OrbitalResult(value, "u", None, count)
 
@@ -150,8 +154,6 @@ def orbital_gl_unit(Y: GlnElement, bound_exp: int = 12) -> OrbitalResult:
     counted in the Krylov basis; omega(Y) is reported with it."""
     if not isinstance(Y, GlnElement):
         raise SideError(f"side 'gl' does not take a {type(Y).__name__}")
-    if not is_rss(Y):
-        raise NotRss("general-linear orbital integral needs an rss element")
     value, count = _krylov_value("gl", *_corner_data(Y), bound_exp)
     return OrbitalResult(value, "gl", transfer_sign(Y).omega, count)
 
@@ -256,13 +258,14 @@ def fl_compare(a: InvariantPoint, bound_exp: int = 12) -> FlComparison:
     """Both orbital integrals above one invariant point; equal iff they agree.
 
     The unitary value is 0 by definition when no hermitian preimage exists.
+    Both sides share the corner data and e = val det H, derived once.
     """
     if not a.is_rss():
         raise NotRss("comparison needs an rss invariant point")
-    exists = a.hermitian_exists()
-    lam, d, chi_p = a._derive()
-    o_u = _krylov_value("u", lam, d, chi_p, bound_exp)[0] if exists else 0
-    o_gl = _krylov_value("gl", lam, d, chi_p, bound_exp)[0]
+    exists, e = a.hermitian_exists(), a.hankel_val_det()
+    corner = a._derive()
+    o_u = _krylov_value("u", *corner, e, bound_exp)[0] if exists else 0
+    o_gl = _krylov_value("gl", *corner, e, bound_exp)[0]
     return FlComparison(o_u, o_gl, exists, o_u == o_gl)
 
 
@@ -363,20 +366,15 @@ def lemma1_check(X: HnElement, bound_exp: int = 12) -> Lemma1Report:
     q = block_q(X)
     if q.valuation() != 0:
         raise ValueError("descent identity requires |q| = 1")
-    if not is_rss(X):
-        raise NotRss("need an rss element")
+    data_X = _corner_data(X)  # NotRss off the rss locus, as for the corners below
 
     nu = solve_norm_equation(q, cfg)
     g = _unitary_moving_b(X.b_col(), nu, cfg)
     Xn = X.conjugate_small(g)
-    corner_u = HnElement(Xn.corner(), check=False)
-    if n > 2 and not is_rss(corner_u):
-        raise NotRss("corner element not rss; resample")
+    data_u = _corner_data(HnElement(Xn.corner(), check=False))
     lam_ok = X.lam().is_integral()
 
-    # X and the corners are known rss here, so the values skip the wrappers' checks
-    o_u, o_u_corner = (_krylov_value("u", *_corner_data(x), bound_exp)[0]
-                       for x in (X, corner_u))
+    o_u, o_u_corner = (_krylov_value("u", *data, bound_exp)[0] for data in (data_X, data_u))
     eq_u = o_u == (o_u_corner if lam_ok else 0)
 
     # matched general-linear side
@@ -386,11 +384,9 @@ def lemma1_check(X: HnElement, bound_exp: int = 12) -> Lemma1Report:
     if val_det(gamma) is INF:
         raise NormalFormFailure("gamma is singular despite unit q")
     Yn = Y.conjugate_small(gamma)
-    corner_gl = GlnElement(Yn.corner())
-    if n > 2 and not is_rss(corner_gl):
-        raise NotRss("gl corner element not rss; resample")
-    o_gl, o_gl_corner = (_krylov_value("gl", *_corner_data(y), bound_exp)[0]
-                         for y in (Y, corner_gl))
+    data_gl = _corner_data(GlnElement(Yn.corner()))
+    o_gl, o_gl_corner = (_krylov_value("gl", *data, bound_exp)[0]
+                         for data in (_corner_data(Y), data_gl))
     eq_gl = o_gl == (o_gl_corner if lam_ok else 0)
 
     return Lemma1Report(eq_u, eq_gl, o_u, o_u_corner, o_gl, o_gl_corner, lam_ok)

@@ -130,8 +130,7 @@ class PAdicScalar:
     def unit(self) -> int:
         """Unit part mod p^D (computed lazily for exact values)."""
         if self._unit is None and self.frac is not None and self.frac != 0:
-            unit_frac = self.frac / Fraction(self.cfg.p) ** self.val
-            self._unit = _unit_residue(unit_frac, self.cfg.p, self.cfg.D)
+            self._unit = self.lift_scaled(self.val, self.val + self.cfg.D)
         return self._unit if self._unit is not None else 0
 
     # -- constructors -------------------------------------------------
@@ -225,8 +224,9 @@ class PAdicScalar:
                 return 0
             if v < base:
                 raise ValueError("base above valuation")
-            u = self.frac / Fraction(p) ** v
-            return (_unit_residue(u, p, width) * p ** (v - base)) % mod
+            num, den = self.frac.numerator, self.frac.denominator  # p^v times a unit
+            num, den = (num // p**v, den) if v >= 0 else (num, den // p**-v)
+            return num * pow(den, -1, mod) * p ** (v - base) % mod
         if self.val is None:
             if self.abs_prec < k_abs:
                 raise PrecisionExhausted("not enough digits for lift")
@@ -392,14 +392,6 @@ class PAdicScalar:
         if self.val is None:
             return f"O({self.cfg.p}^{self.abs_prec})"
         return f"{self.cfg.p}^{self.val}*{self.unit} + O({self.cfg.p}^{self.abs_prec})"
-
-
-def _unit_residue(x: Fraction, p: int, digits: int) -> int:
-    """x a p-adic unit rational; its residue mod p^digits."""
-    mod = p**digits
-    num = x.numerator % mod
-    den = x.denominator % mod
-    return (num * pow(den, -1, mod)) % mod
 
 
 class QuadScalar:

@@ -1,9 +1,10 @@
 """Reference code that only the tests call.
 
 Brute-force oracles (the centralizer rss test, the cofactor characteristic
-polynomial, lattice membership over exact scalars), random group elements
-for invariance checks, and the map from the walk's integer pairs (k, S) to
-`Lattice`s, so that walk-versus-box tests compare lattices by key.
+polynomial, lattice membership over exact scalars), the corner-data
+recursion on p-adic scalars, random group elements for invariance checks,
+and the map from the walk's integer pairs (k, S) to `Lattice`s, so that
+walk-versus-box tests compare lattices by key.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from fllab.errors import NotRss, SamplingExhausted
 from fllab.geometry import GlnElement, HnElement, _rand_fraction, invariants_of, is_rss
 from fllab.lattice import Lattice
-from fllab.linalg import Matrix, inverse, val_det
+from fllab.linalg import Matrix, _dot, inverse, val_det
 from fllab.padic import INF, FieldConfig
 
 # ----------------------------------------------------------------------
@@ -70,6 +71,59 @@ def index_sign(L: Lattice) -> int:
 def stabilizes(T: Matrix, L: Lattice) -> bool:
     """T L <= L."""
     return all(contains(L, T.apply(L.basis.col(j))) for j in range(L.rank))
+
+
+# ----------------------------------------------------------------------
+# corner data
+
+
+def derive_corner(a):
+    """(lam, d_0..d_{2m-1}, chi') of the invariant point a, m = n - 1: the
+    power-sum recursion run on p-adic scalars, with no scaling to integers
+    as in InvariantPoint._derive; it also accepts truncated coordinates."""
+    n, m, cfg = a.n, a.n - 1, a.cfg
+    if n == 1:
+        lam = -a.charpoly[0]
+        return (lam, [], [])
+    lam = a.moments[0]
+    # r_i = e* X^i e, extended by the charpoly recursion
+    r = [cfg.one()] + list(a.moments)
+    need = 2 * m + 2
+    while len(r) < need:
+        r.append(-_dot(a.charpoly, r[len(r) - n:]))
+    # recursion r_{i+1} = lam r_i + sum_k gamma_{i,k} d_k with gamma_{i,i-1} = 1
+    d = []
+    gamma = [cfg.one()]  # coefficients of c X'^k inside e* X^i restricted row
+    for i in range(1, 2 * m + 1):
+        acc = r[i + 1] - lam * r[i]
+        for k in range(len(d)):
+            if k < len(gamma) and k != i - 1:
+                acc = acc - gamma[k] * d[k]
+        d.append(acc)
+        gamma = [r[i]] + gamma  # shift and add r_i at position 0
+    d = d[: 2 * m]
+    # chi' degree-by-degree from the resolvent identity
+    chi = a.charpoly + [cfg.one()]
+    chi_p = [None] * m + [cfg.one()]
+    for j in range(m, 0, -1):
+        acc = chi[j] + lam * chi_p[j]
+        for l in range(j + 1, m + 1):
+            acc = acc + chi_p[l] * d[l - 1 - j]
+        chi_p[j - 1] = acc
+    chi_p = chi_p[:m]
+    # consistency: the d's must satisfy the chi' recursion (proved identity,
+    # asserted here to catch implementation drift), exactly on exact input
+    for kk in range(m):
+        acc = d[kk + m]
+        for jj in range(m):
+            acc = acc + chi_p[jj] * d[kk + jj]
+        if acc.is_exact:
+            ok = acc.is_exact_zero()
+        else:
+            ok = acc.is_zero_at_precision() or acc.valuation_lower_bound() >= cfg.D - 6
+        if not ok:
+            raise AssertionError("corner-moment recursion inconsistent")
+    return (lam, d, chi_p)
 
 
 # ----------------------------------------------------------------------

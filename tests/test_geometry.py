@@ -19,8 +19,9 @@ from fllab.geometry import (
     u_representative,
 )
 from fllab.linalg import Matrix, inverse, val_det
-from fllab.padic import FieldConfig
-from reference import centralizer_is_trivial, matches, random_gl, random_unitary
+from fllab.padic import FieldConfig, PAdicScalar
+from reference import centralizer_is_trivial, derive_corner, matches, random_gl, random_unitary
+from test_orbital import DEEP_N3, DEEP_N4, _deep_point
 
 CFG3 = FieldConfig(3, -1)
 CFG5 = FieldConfig(5, 2)
@@ -247,3 +248,64 @@ def test_invariant_point_json_roundtrip():
     assert d == {"n": 2, "charpoly": ["-1", "-1"], "moments": ["0"]}
     b = InvariantPoint.from_json_dict(d, CFG3)
     assert b.agrees(a)
+
+
+def _fractions(corner):
+    lam, d, chi_p = corner
+    return lam.as_fraction(), [x.as_fraction() for x in d], [x.as_fraction() for x in chi_p]
+
+
+def _check_derive(a):
+    # the corner data from the integer recursion equals the p-adic scalar one
+    got = a._derive()
+    assert all(x.is_exact for x in [got[0], *got[1], *got[2]])
+    ref = derive_corner(InvariantPoint(a.n, a.charpoly, a.moments, a.cfg))
+    assert _fractions(got) == _fractions(ref)
+    return got
+
+
+@pytest.mark.parametrize("cfg", [CFG3, CFG5], ids=["p3", "p5"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_derive_matches_reference_recursion(n, cfg):
+    # hermitian points (denominators 1 or p) and general-linear points whose
+    # denominators hold other primes too, so the common denominator is not a
+    # power of p
+    rng = random.Random(f"derive:{n}:{cfg.p}")
+    for _ in range(10):
+        _check_derive(invariants_of(sample_hermitian(n, cfg, 20, rng)))
+        dens = (1, 2, cfg.p, 7 * cfg.p ** 2)
+        rows = [[Fraction(rng.randint(-20, 20), rng.choice(dens)) for _ in range(n)]
+                for _ in range(n)]
+        _check_derive(invariants_of(GlnElement(Matrix.from_rows(cfg, rows))))
+
+
+def test_derive_matches_reference_at_deep_points():
+    for rows, _ in DEEP_N3 + DEEP_N4:
+        _check_derive(invariants_of(_deep_point(rows)))
+
+
+def test_derive_matches_reference_at_vanishing_corner_data():
+    q = CFG3.quad
+    # lambda = 0
+    X = HnElement(Matrix(CFG3, [[q(1, 0), q(2, 1), q(0, 1)], [q(2, -1), q(-3, 0), q(1, 1)],
+                                [q(0, -1), q(1, -1), q(0, 0)]]))
+    assert _check_derive(invariants_of(X))[0].is_exact_zero()
+    # q = 0 (b = 0, so every d_k vanishes), with lambda = 7 and with lambda = 0
+    for lam in (7, 0):
+        Y = GlnElement(Matrix.from_rows(CFG3, [[1, 2, 0], [3, 4, 0], [5, 6, lam]]))
+        lam_x, d, _ = _check_derive(invariants_of(Y))
+        assert all(x.is_exact_zero() for x in d) and lam_x.as_fraction() == lam
+    # n = 1: lambda is the entry, and it may vanish
+    for lam in (5, 0):
+        _check_derive(invariants_of(GlnElement(Matrix.from_rows(CFG3, [[lam]]))))
+
+
+def test_derive_refuses_truncated_coordinates():
+    a = invariants_of(hX())
+    cut = PAdicScalar.inexact(CFG3, 0, 2, 12)  # -1 + O(3^12)
+    for b in (InvariantPoint(2, [a.charpoly[0], cut], a.moments, CFG3),
+              InvariantPoint(2, a.charpoly, [cut], CFG3)):
+        with pytest.raises(ValueError):
+            b._derive()
+        with pytest.raises(ValueError):
+            b.q()

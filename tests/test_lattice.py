@@ -43,11 +43,11 @@ def _check_val_det(lattices):
 
 
 def _walk(T, H):
-    return walk_lattices(enumerate_stable_between(T, H), H)
+    return walk_lattices(enumerate_stable_between(T, H, val_det(H)), H)
 
 
 def _selfdual(T, H):
-    return walk_lattices(enumerate_selfdual_stable(T, H), H)
+    return walk_lattices(enumerate_selfdual_stable(T, H, val_det(H)), H)
 
 
 def test_contains_examples():
@@ -187,16 +187,17 @@ def test_enumeration_matches_naive_filter():
 def test_walk_refuses_non_selfadjoint():
     # sigma(T)^T H = H T is the walk's precondition, over O_F and over O_E
     N = Matrix.from_rows(CFG3, [[0, 1], [0, 0]])
+    H1, H2 = _scalar_form(1), _scalar_form(2)
     with pytest.raises(ValueError):
-        enumerate_stable_between(N, _scalar_form(1))
+        enumerate_stable_between(N, H1, val_det(H1))
     with pytest.raises(ValueError):
-        enumerate_stable_between(N.to_quad(), _scalar_form(1))
+        enumerate_stable_between(N.to_quad(), H1, val_det(H1))
     # w T is symmetric but not hermitian: sigma(w) = -w
     W = Matrix(CFG3, [[CFG3.quad(0, 1), CFG3.quad(0, 0)], [CFG3.quad(0, 0), CFG3.quad(1, 0)]])
     with pytest.raises(ValueError):
-        enumerate_stable_between(W, _scalar_form(1))
+        enumerate_stable_between(W, H1, val_det(H1))
     with pytest.raises(ValueError):
-        enumerate_selfdual_stable(W, _scalar_form(2))
+        enumerate_selfdual_stable(W, H2, val_det(H2))
 
 
 @pytest.mark.parametrize("rows,count", [([[9, 3], [0, 9]], 14), ([[9, 1], [0, 9]], 5),
@@ -207,9 +208,9 @@ def test_walk_refuses_non_hermitian_form(rows, count):
     H = Matrix.from_rows(CFG3, rows)
     T = Matrix.identity(CFG3, 2)
     with pytest.raises(ValueError):
-        enumerate_stable_between(T.to_quad(), H)
+        enumerate_stable_between(T.to_quad(), H, val_det(H))
     with pytest.raises(ValueError):
-        enumerate_selfdual_stable(T, H)
+        enumerate_selfdual_stable(T, H, val_det(H))
     # over O_F the form need not be symmetric
     walk = _walk(T, H)
     assert len(walk) == count
@@ -224,7 +225,7 @@ def test_enumerate_selfdual_examples():
     assert got[0] == scaled(Lattice.standard(CFG3, 1, kind="E"), -1)
 
     # non-integral form (the Gram matrix of p^-1 O_E): empty
-    assert enumerate_selfdual_stable(T, Matrix.from_rows(CFG3, [[Fraction(1, 9)]])) == []
+    assert enumerate_selfdual_stable(T, Matrix.from_rows(CFG3, [[Fraction(1, 9)]]), -2) == []
 
 
 def test_enumerate_selfdual_rank2_matches_filter():
@@ -360,10 +361,25 @@ def test_walk_reads_truncated_inputs(p, rows, count):
     for T in (C, C.to_quad()):
         exact = [L.key() for L in _walk(T, H)]
         cut = walk_lattices(
-            enumerate_stable_between(_truncated(T, 2 * e + 1), _truncated(H, 2 * e + 1)), H)
+            enumerate_stable_between(_truncated(T, 2 * e + 1), _truncated(H, 2 * e + 1), e), H)
         assert [L.key() for L in cut] == exact
         with pytest.raises(PrecisionExhausted):
-            enumerate_stable_between(_truncated(T, 2 * e + 1), _truncated(H, 2 * e))
+            enumerate_stable_between(_truncated(T, 2 * e + 1), _truncated(H, 2 * e), e)
+
+
+@pytest.mark.parametrize("p,rows,count", KRYLOV_POINTS)
+def test_walk_refuses_a_wrong_val_det(p, rows, count):
+    # the walk takes e = val det H from its caller and checks it on the
+    # residues of H mod p^(2e+1): [O^m : H O^m + p^(2e+1) O^m] = e iff e is right
+    C, H = _krylov_pair(p, rows)
+    e = val_det(H)
+    assert len(enumerate_selfdual_stable(C, H, e, 40)) == count
+    for wrong in (e - 1, e + 1, e + 2, -1):
+        for T in (C, C.to_quad()):
+            with pytest.raises(ValueError):
+                enumerate_stable_between(T, H, wrong, 40)
+        with pytest.raises(ValueError):
+            enumerate_selfdual_stable(C, H, wrong, 40)
 
 
 @pytest.mark.parametrize("p,rows,count", KRYLOV_POINTS)
@@ -437,7 +453,7 @@ def test_unitary_layer_is_cut_by_the_gram_matrix():
     walk = _walk(T, H)
     assert len(walk) == 6
     assert all(L.gram(H).is_integral() and stabilizes(T, L) for L in walk)
-    assert len(enumerate_selfdual_stable(T, H)) == 4
+    assert len(enumerate_selfdual_stable(T, H, val_det(H))) == 4
 
 
 def test_index_sign():
@@ -464,4 +480,4 @@ def test_index_sign_scaling_hom():
 
 def test_explosion_guard():
     with pytest.raises(ExplosionGuard):
-        enumerate_stable_between(Matrix.identity(CFG3, 2), _scalar_form(8), bound_exp=12)
+        enumerate_stable_between(Matrix.identity(CFG3, 2), _scalar_form(8), 16, bound_exp=12)

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -321,12 +322,12 @@ def _check_profile(a, bound):
     # o_gl, and the self-dual lattices all have index e/2
     lam, d, chi_p = a._derive()
     e = val_det(a.hankel())
-    n = index_profile(lam, d, chi_p, "F", bound)
+    n = index_profile(lam, d, chi_p, "F", e, bound)
     assert len(n) == e + 1 and n == n[::-1]
     r = fl_compare(a, bound)
     assert (-1) ** e * sum((-1) ** k * nk for k, nk in enumerate(n)) == r.o_gl
     if r.hermitian_exists:
-        nu = index_profile(lam, d, chi_p, "E", bound)
+        nu = index_profile(lam, d, chi_p, "E", e, bound)
         assert sum(nu) == r.o_u
         assert nu == [] or (len(nu) == e // 2 + 1 and sum(nu) == nu[-1])
 
@@ -385,6 +386,51 @@ def test_kernel_builds_no_lattice(monkeypatch):
     assert (r.o_u, r.o_gl) == (4, 4)
     assert orbital_u_unit(X, 16).value == 4
     assert orbital_gl_unit(Y, 16).value == 4
+
+
+def _count_val_det(monkeypatch):
+    # every fllab module's binding of linalg.val_det, as the benchmark's tracer
+    # wraps them, replaced by a counter
+    from fllab import linalg
+
+    calls, real = [], linalg.val_det
+
+    def counted(M):
+        calls.append(M)
+        return real(M)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "fllab" or name.startswith("fllab."):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_fl_compare_takes_val_det_once(monkeypatch):
+    # e = val det H is computed once per point and handed to both walks and the
+    # self-dual filter (the count-4 point took four computations before)
+    cfg = FieldConfig(3, 2)
+    vanishing = [GlnElement(Matrix.from_rows(CFG3, [[1, 1], [3, 0]])),  # e = 1
+                 GlnElement(Matrix.from_rows(cfg, [[2, -2, -1], [6, 3, 0], [3, -3, 1]]))]  # e = 5
+    points = [(invariants_of(_deep_point(DEEP_N3[0][0])), (4, 4, True)),
+              *((invariants_of(y), (0, 0, False)) for y in vanishing)]
+    calls = _count_val_det(monkeypatch)
+    for a, want in points:
+        calls.clear()
+        r = fl_compare(a, 16)
+        assert (r.o_u, r.o_gl, r.hermitian_exists) == want
+        assert len(calls) == 1
+
+
+def test_fl_compare_refuses_a_wrong_val_det():
+    # the walk checks the e it is handed on the residues of H: a wrong cached
+    # val det H raises ValueError instead of giving a count
+    for shift in (-1, 1, 2):
+        a = invariants_of(_deep_point(DEEP_N3[0][0]))
+        a._hankel_vd = a.hankel_val_det() + shift
+        with pytest.raises(ValueError):
+            fl_compare(a, 40)
 
 
 def test_transfer_sign_is_hankel_parity():
